@@ -100,7 +100,7 @@ func TestDBSCANDeterminism(t *testing.T) {
 	}
 }
 
-// bruteNeighbors is the O(n²) reference for the grid index.
+// bruteNeighbors is the O(n²) reference for the cell index.
 func bruteNeighbors(pts []Point, i int, eps float64) map[int]bool {
 	out := make(map[int]bool)
 	for j := range pts {
@@ -111,36 +111,71 @@ func bruteNeighbors(pts []Point, i int, eps float64) map[int]bool {
 	return out
 }
 
-func TestGridIndexMatchesBruteForce(t *testing.T) {
-	rng := sim.NewRNG(4)
-	pts := make([]Point, 300)
-	for i := range pts {
-		pts[i] = Point{rng.Float64(), rng.Float64(), rng.Float64()}
+// regionQuery lists the eps-neighbours of pts[i] (i included) as the cell
+// index sees them: every member of its own cell without a distance check
+// when the grid places points exactly, every other candidate drawn from
+// the neighbour cells by distance.
+func (x *cellIndex) regionQuery(i int) []int {
+	c := x.cellOf[i]
+	var out []int
+	for _, d := range x.adj[x.adjAt[c]:x.adjAt[c+1]] {
+		for _, q := range x.members[x.start[d]:x.start[d+1]] {
+			if (d == c && x.near) || dist2(x.pts[i], x.pts[q]) <= x.eps2 {
+				out = append(out, q)
+			}
+		}
 	}
-	eps := 0.15
-	g := newGridIndex(pts, eps)
+	return out
+}
+
+// checkRegionQueries asserts every region query through the cell index
+// equals brute force, and that each neighbour cell's box bounds hold for
+// every member.
+func checkRegionQueries(t *testing.T, pts []Point, eps float64) {
+	t.Helper()
+	var x cellIndex
+	x.build(pts, eps)
 	for i := range pts {
-		got := g.neighbors(i, nil)
+		c := x.cellOf[i]
+		for _, d := range x.adj[x.adjAt[c]:x.adjAt[c+1]] {
+			lo, hi := x.bounds(i, d)
+			for _, q := range x.members[x.start[d]:x.start[d+1]] {
+				if d2 := dist2(pts[i], pts[q]); d2 < lo || d2 > hi {
+					t.Fatalf("point %d: dist2 %v to %d outside its cell bounds [%v, %v]", i, d2, q, lo, hi)
+				}
+			}
+		}
+		got := x.regionQuery(i)
 		want := bruteNeighbors(pts, i, eps)
 		if len(got) != len(want) {
-			t.Fatalf("point %d: grid %d neighbors, brute %d", i, len(got), len(want))
+			t.Fatalf("point %d: index %d neighbors, brute %d", i, len(got), len(want))
 		}
 		for _, j := range got {
 			if !want[j] {
-				t.Fatalf("point %d: grid found non-neighbor %d", i, j)
+				t.Fatalf("point %d: index found non-neighbor %d", i, j)
 			}
 		}
 	}
 }
 
-func TestGridIndexNegativeCoordinates(t *testing.T) {
-	// Cell hashing must work for negative coordinates too.
+func TestCellIndexMatchesBruteForce(t *testing.T) {
+	rng := sim.NewRNG(4)
+	pts := make([]Point, 300)
+	for i := range pts {
+		pts[i] = Point{rng.Float64(), rng.Float64(), rng.Float64()}
+	}
+	checkRegionQueries(t, pts, 0.15)
+}
+
+func TestCellIndexNegativeCoordinates(t *testing.T) {
+	// Cell placement must work for negative coordinates too.
 	pts := []Point{{-1.01, -1.01}, {-1.02, -1.02}, {1, 1}}
-	g := newGridIndex(pts, 0.1)
-	n := g.neighbors(0, nil)
-	if len(n) != 2 {
+	var x cellIndex
+	x.build(pts, 0.1)
+	if n := x.regionQuery(0); len(n) != 2 {
 		t.Fatalf("negative-coordinate neighbors = %d, want 2", len(n))
 	}
+	checkRegionQueries(t, pts, 0.1)
 }
 
 func TestVaryingDensityFailureMode(t *testing.T) {

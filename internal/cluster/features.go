@@ -108,12 +108,14 @@ func featureOf(b *trace.Burst, f Feature) (float64, bool) {
 
 // Extract computes the feature matrix of bursts. Bursts lacking a required
 // counter yield ok=false rows; the caller typically clusters only the valid
-// rows and labels the rest Noise.
+// rows and labels the rest Noise. The rows share one backing array.
 func Extract(bursts []trace.Burst, feats []Feature) (pts []Point, valid []bool) {
 	pts = make([]Point, len(bursts))
 	valid = make([]bool, len(bursts))
+	d := len(feats)
+	flat := make([]float64, len(bursts)*d)
 	for i := range bursts {
-		p := make(Point, len(feats))
+		p := Point(flat[i*d : (i+1)*d : (i+1)*d])
 		ok := true
 		for j, f := range feats {
 			v, vok := featureOf(&bursts[i], f)

@@ -100,37 +100,35 @@ func RefineContext(ctx context.Context, pts []Point, opt RefineOptions) ([]int, 
 	}
 	var accepted [][]int
 	rounds := int64(0)
+	// One index and one set of subset buffers serve every rung: a rung
+	// is done with them once its groups are built, before it recurses.
+	var (
+		idx       cellIndex
+		sub       []Point
+		subLabels []int
+	)
 	var refine func(members []int, eps float64, step, depth int) error
 	refine = func(members []int, eps float64, step, depth int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		rounds++
-		sub := make([]Point, len(members))
-		for k, i := range members {
-			sub[k] = pts[i]
+		sub = sub[:0]
+		for _, i := range members {
+			sub = append(sub, pts[i])
 		}
-		subLabels, err := DBSCANContext(ctx, sub, DBSCANOptions{Eps: eps, MinPts: opt.MinPts})
-		if err != nil {
+		subLabels = resize(subLabels, len(members))
+		if err := idx.dbscan(ctx, sub, DBSCANOptions{Eps: eps, MinPts: opt.MinPts}, subLabels); err != nil {
 			return err
 		}
-		groups := groupByLabel(subLabels)
-		covered, nClusters, largest := 0, 0, 0
-		for label, g := range groups {
-			if label != Noise {
-				covered += len(g)
-				nClusters++
-				if len(g) > largest {
-					largest = len(g)
-				}
+		groups := groupByLabel(subLabels, members)
+		nClusters := len(groups)
+		covered, largest := 0, 0
+		for _, g := range groups {
+			covered += len(g)
+			if len(g) > largest {
+				largest = len(g)
 			}
-		}
-		toAbs := func(g []int) []int {
-			abs := make([]int, len(g))
-			for k, si := range g {
-				abs[k] = members[si]
-			}
-			return abs
 		}
 		lastStep := step == opt.Steps-1
 		// A *genuine* split produces two or more substantial subclusters
@@ -157,7 +155,7 @@ func RefineContext(ctx context.Context, pts []Point, opt RefineOptions) ([]int, 
 			accepted = append(accepted, members)
 		case len(big) >= 2 && covered*4 >= 3*len(members):
 			for _, label := range big {
-				if err := refine(toAbs(groups[label]), eps/2, step+1, depth+1); err != nil {
+				if err := refine(groups[label], eps/2, step+1, depth+1); err != nil {
 					return err
 				}
 			}
@@ -165,7 +163,7 @@ func RefineContext(ctx context.Context, pts []Point, opt RefineOptions) ([]int, 
 			// Erosion: one dominant core; keep probing its density.
 			for label := 0; label < nClusters; label++ {
 				if len(groups[label]) == largest {
-					return refine(toAbs(groups[label]), eps/2, step+1, depth+1)
+					return refine(groups[label], eps/2, step+1, depth+1)
 				}
 			}
 		case depth > 0:
@@ -176,12 +174,11 @@ func RefineContext(ctx context.Context, pts []Point, opt RefineOptions) ([]int, 
 			// Top level: recurse (or accept, at the last rung) whatever
 			// clusters exist; the rest is global noise.
 			for label := 0; label < nClusters; label++ {
-				abs := toAbs(groups[label])
 				if lastStep {
-					accepted = append(accepted, abs)
+					accepted = append(accepted, groups[label])
 					continue
 				}
-				if err := refine(abs, eps/2, step+1, depth+1); err != nil {
+				if err := refine(groups[label], eps/2, step+1, depth+1); err != nil {
 					return err
 				}
 			}
@@ -220,12 +217,29 @@ func allIndices(n int) []int {
 	return out
 }
 
-// groupByLabel maps each label to the indices carrying it. Member lists are
-// in ascending index order because labels are scanned in order.
-func groupByLabel(labels []int) map[int][]int {
-	m := make(map[int][]int)
-	for i, l := range labels {
-		m[l] = append(m[l], i)
+// groupByLabel splits members by their DBSCAN labels: groups[l] lists, in
+// ascending order, the members labelled l (labels[k] is members[k]'s
+// label). Noise is left out. All groups share one backing array.
+func groupByLabel(labels, members []int) [][]int {
+	k := NumClusters(labels)
+	at := make([]int, k+1)
+	for _, l := range labels {
+		if l != Noise {
+			at[l+1]++
+		}
 	}
-	return m
+	for l := 0; l < k; l++ {
+		at[l+1] += at[l]
+	}
+	flat := make([]int, at[k])
+	groups := make([][]int, k)
+	for l := range groups {
+		groups[l] = flat[at[l]:at[l]:at[l+1]]
+	}
+	for i, l := range labels {
+		if l != Noise {
+			groups[l] = append(groups[l], members[i])
+		}
+	}
+	return groups
 }
