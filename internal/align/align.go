@@ -6,9 +6,31 @@
 // package implements Needleman-Wunsch pairwise global alignment and a
 // star-shaped progressive multiple alignment, from which it derives an
 // SPMD-ness score in [0,1].
+//
+// Pairwise returns exactly the textbook result: the full score table with a
+// traceback that prefers the diagonal, then a gap in b (up), then a gap in a
+// (left). Two things make it cheap on SPMD input, where rank sequences are
+// usually identical:
+//
+//   - Suffix trim. When Match >= Mismatch and Match >= 2*GapOpen (true for
+//     DefaultScoring), appending one symbol to either sequence raises the
+//     optimum by at most Match-GapOpen, so a cell whose symbols match always
+//     scores its diagonal predecessor plus Match and the traceback walks it
+//     diagonally. A common suffix therefore aligns symbol to symbol, and
+//     the cells before it never look at it: the DP runs on what precedes
+//     the suffix only, and identical sequences align in O(n) with no table.
+//     A common prefix cannot be trimmed the same way — the tie rule may put
+//     a gap in front of it (a=[x y], b=[x x y]).
+//   - Direction bytes. The DP keeps two rolling score rows and records, per
+//     cell, the move the traceback takes out of it, in the same priority
+//     order; the traceback reads those bytes instead of re-deriving moves
+//     from a table of scores, which is 8× smaller.
 package align
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+)
 
 // Gap is the symbol used for alignment gaps.
 const Gap = -1
@@ -24,73 +46,117 @@ type Scoring struct {
 // DefaultScoring returns match +2, mismatch -1, gap -2.
 func DefaultScoring() Scoring { return Scoring{Match: 2, Mismatch: -1, GapOpen: -2} }
 
+// trimsSuffix reports whether sc guarantees that matching symbols always
+// align diagonally (see the package comment), so a common suffix can be
+// aligned without the DP.
+func (sc Scoring) trimsSuffix() bool {
+	return sc.Match >= sc.Mismatch && sc.Match >= 2*sc.GapOpen
+}
+
+// pollRows is how many DP rows run between context polls.
+const pollRows = 1024
+
+// Traceback moves, in the order the traceback prefers them on ties.
+const (
+	moveDiag byte = iota // align a[i-1] with b[j-1]
+	moveUp               // a[i-1] against a gap
+	moveLeft             // b[j-1] against a gap
+)
+
 // Pairwise computes the Needleman-Wunsch global alignment of a and b,
 // returning the two gapped sequences (equal length, Gap where a gap was
 // inserted) and the alignment score.
 func Pairwise(a, b []int, sc Scoring) (ga, gb []int, score int) {
+	ga, gb, score, _ = pairwise(context.Background(), a, b, sc)
+	return ga, gb, score
+}
+
+// pairwise is Pairwise polling ctx every pollRows DP rows.
+func pairwise(ctx context.Context, a, b []int, sc Scoring) (ga, gb []int, score int, err error) {
 	n, m := len(a), len(b)
-	// dp[i][j]: best score aligning a[:i] with b[:j]; flattened.
-	w := m + 1
-	dp := make([]int, (n+1)*w)
-	for j := 1; j <= m; j++ {
-		dp[j] = j * sc.GapOpen
+	k := 0 // common suffix length, aligned diagonally without the DP
+	if sc.trimsSuffix() {
+		for k < n && k < m && a[n-1-k] == b[m-1-k] {
+			k++
+		}
+	}
+	n, m = n-k, m-k
+	ga = make([]int, n+m+k)
+	gb = make([]int, n+m+k)
+	p := n + m
+	copy(ga[p:], a[n:])
+	copy(gb[p:], b[m:])
+
+	// moves[(i-1)*m+j-1] is the traceback move out of cell (i, j).
+	moves := make([]byte, n*m)
+	prev := make([]int, m+1)
+	cur := make([]int, m+1)
+	for j := range prev {
+		prev[j] = j * sc.GapOpen
 	}
 	for i := 1; i <= n; i++ {
-		dp[i*w] = i * sc.GapOpen
-		for j := 1; j <= m; j++ {
-			sub := dp[(i-1)*w+j-1]
-			if a[i-1] == b[j-1] {
-				sub += sc.Match
-			} else {
-				sub += sc.Mismatch
+		if i%pollRows == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, nil, 0, err
 			}
-			del := dp[(i-1)*w+j] + sc.GapOpen
-			ins := dp[i*w+j-1] + sc.GapOpen
-			best := sub
-			if del > best {
-				best = del
-			}
-			if ins > best {
-				best = ins
-			}
-			dp[i*w+j] = best
 		}
+		cur[0] = i * sc.GapOpen
+		fillRow(a[i-1], b[:m], prev, cur, moves[(i-1)*m:i*m], sc)
+		prev, cur = cur, prev
 	}
-	// Traceback.
-	i, j := n, m
-	var ra, rb []int
-	for i > 0 || j > 0 {
+	score = prev[m] + k*sc.Match
+
+	for i, j := n, m; i > 0 || j > 0; {
+		p--
+		mv := moveLeft
 		switch {
-		case i > 0 && j > 0 && dp[i*w+j] == dp[(i-1)*w+j-1]+matchScore(a[i-1], b[j-1], sc):
-			ra = append(ra, a[i-1])
-			rb = append(rb, b[j-1])
+		case j == 0:
+			mv = moveUp
+		case i > 0:
+			mv = moves[(i-1)*m+j-1]
+		}
+		switch mv {
+		case moveDiag:
 			i--
 			j--
-		case i > 0 && dp[i*w+j] == dp[(i-1)*w+j]+sc.GapOpen:
-			ra = append(ra, a[i-1])
-			rb = append(rb, Gap)
+			ga[p], gb[p] = a[i], b[j]
+		case moveUp:
 			i--
+			ga[p], gb[p] = a[i], Gap
 		default:
-			ra = append(ra, Gap)
-			rb = append(rb, b[j-1])
 			j--
+			ga[p], gb[p] = Gap, b[j]
 		}
 	}
-	reverse(ra)
-	reverse(rb)
-	return ra, rb, dp[n*w+m]
+	return ga[p:], gb[p:], score, nil
 }
 
-func matchScore(x, y int, sc Scoring) int {
-	if x == y {
-		return sc.Match
-	}
-	return sc.Mismatch
-}
-
-func reverse(s []int) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
+// fillRow computes one DP row: cur[j+1] from its diagonal prev[j], up
+// prev[j+1] and left cur[j] neighbours, with cur[0] already set. moves[j]
+// records the move the traceback takes out of the cell: diagonal unless
+// another move scores strictly more, then up unless left scores strictly
+// more. The reslicing lets the compiler drop the bounds checks.
+func fillRow(x int, b, prev, cur []int, moves []byte, sc Scoring) {
+	up := prev[1 : len(b)+1]
+	out := cur[1 : len(b)+1]
+	moves = moves[:len(b)]
+	diag, left := prev[0], cur[0]
+	for j, y := range b {
+		best := diag + sc.Mismatch
+		if x == y {
+			best = diag + sc.Match
+		}
+		mv := moveDiag
+		if u := up[j] + sc.GapOpen; u > best {
+			best, mv = u, moveUp
+		}
+		if l := left + sc.GapOpen; l > best {
+			best, mv = l, moveLeft
+		}
+		diag = up[j]
+		out[j] = best
+		moves[j] = mv
+		left = best
 	}
 }
 
@@ -112,6 +178,13 @@ func (m *MSA) Width() int {
 // is the initial center; every other sequence is aligned against the current
 // consensus, with "once a gap, always a gap" column insertion.
 func Progressive(seqs [][]int, sc Scoring) (*MSA, error) {
+	return ProgressiveContext(context.Background(), seqs, sc)
+}
+
+// ProgressiveContext is Progressive under a cancellable context: it checks
+// ctx before every pairwise alignment, and each alignment polls it every
+// pollRows DP rows.
+func ProgressiveContext(ctx context.Context, seqs [][]int, sc Scoring) (*MSA, error) {
 	if len(seqs) == 0 {
 		return nil, fmt.Errorf("align: no sequences")
 	}
@@ -123,44 +196,59 @@ func Progressive(seqs [][]int, sc Scoring) (*MSA, error) {
 		}
 	}
 	msa := &MSA{Rows: [][]int{append([]int(nil), seqs[center]...)}}
-	order := make([]int, 0, len(seqs)-1)
+	order := make([]int, 0, len(seqs))
+	order = append(order, center)
 	for i := range seqs {
 		if i != center {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			gc, gs, _, err := pairwise(ctx, msa.consensus(), seqs[i], sc)
+			if err != nil {
+				return nil, err
+			}
+			// gc tells where the existing alignment needs new gap columns.
+			msa.insertAligned(gc, gs)
 			order = append(order, i)
 		}
 	}
-	rowOf := map[int]int{center: 0}
-	for _, si := range order {
-		cons := msa.consensus()
-		gc, gs, _ := Pairwise(cons, seqs[si], sc)
-		// gc tells where the existing alignment needs new gap columns.
-		msa.insertAligned(gc, gs)
-		rowOf[si] = len(msa.Rows) - 1
-	}
-	// Restore original sequence order in the rows.
+	// Restore original sequence order in the rows: row r holds seqs[order[r]].
 	ordered := make([][]int, len(seqs))
-	for si, row := range rowOf {
-		ordered[si] = msa.Rows[row]
+	for r, si := range order {
+		ordered[si] = msa.Rows[r]
 	}
 	return &MSA{Rows: ordered}, nil
 }
 
 // consensus returns, per column, the most frequent non-gap symbol (ties
-// break toward the smaller symbol), or Gap for all-gap columns.
+// break toward the smaller symbol), or Gap for all-gap columns. Columns hold
+// one symbol per row, so a linear tally over the distinct symbols seen
+// replaces a per-column map.
 func (m *MSA) consensus() []int {
-	w := m.Width()
-	out := make([]int, w)
-	for c := 0; c < w; c++ {
-		counts := make(map[int]int)
+	out := make([]int, m.Width())
+	syms := make([]int, 0, len(m.Rows))
+	counts := make([]int, 0, len(m.Rows))
+	for c := range out {
+		syms, counts = syms[:0], counts[:0]
 		for _, row := range m.Rows {
-			if row[c] != Gap {
-				counts[row[c]]++
+			v := row[c]
+			if v == Gap {
+				continue
 			}
+			k := 0
+			for k < len(syms) && syms[k] != v {
+				k++
+			}
+			if k == len(syms) {
+				syms = append(syms, v)
+				counts = append(counts, 0)
+			}
+			counts[k]++
 		}
 		best, bestN := Gap, 0
-		for sym, n := range counts {
-			if n > bestN || (n == bestN && best != Gap && sym < best) {
-				best, bestN = sym, n
+		for k, v := range syms {
+			if n := counts[k]; n > bestN || (n == bestN && v < best) {
+				best, bestN = v, n
 			}
 		}
 		out[c] = best

@@ -305,12 +305,18 @@ func analyze(ctx context.Context, tr *trace.Trace, opt Options) (*Model, error) 
 		}
 	} else {
 		_, pspan, endPrepare := startStage(ctx, spanPrepare)
-		tr = prepare(tr, ds)
-		runHealthChecks(tr, ds)
-		tr = applyBudget(tr, opt.Budget, ds)
-		pspan.SetAttr("ranks", int64(tr.NumRanks()))
-		pspan.SetAttr("records", int64(tr.NumEvents()+tr.NumSamples()))
+		prepared, err := prepare(ctx, tr, ds)
+		if err == nil {
+			tr = prepared
+			runHealthChecks(tr, ds)
+			tr = applyBudget(tr, opt.Budget, ds)
+			pspan.SetAttr("ranks", int64(tr.NumRanks()))
+			pspan.SetAttr("records", int64(tr.NumEvents()+tr.NumSamples()))
+		}
 		endPrepare()
+		if err != nil {
+			return nil, err
+		}
 	}
 
 	ectx, espan, endExtract := startStage(ctx, spanExtract)
@@ -438,11 +444,17 @@ func analyzeTail(ctx context.Context, in tailInput, opt Options, ds *diagSink) (
 		Bursts:           bursts,
 	}
 	_, model.NoiseBursts = cluster.Sizes(labels)
-	model.SPMDScore = spmdScore(in.nRanks, bursts)
 	cspan.SetAttr("clusters", int64(model.NumClusters))
 	cspan.SetAttr("noise_bursts", int64(model.NoiseBursts))
 	obs.Metrics(ctx).Counter(obs.MetricClustersFound, "Clusters detected.").Add(int64(model.NumClusters))
 	obs.Metrics(ctx).Counter(obs.MetricNoiseBursts, "Bursts left unclustered as noise.").Add(int64(model.NoiseBursts))
+
+	sctx, sspan, endSPMD := startStage(ctx, spanSPMD)
+	model.SPMDScore, err = spmdScore(sctx, sspan, in.nRanks, bursts)
+	endSPMD()
+	if err != nil {
+		return nil, err
+	}
 
 	stats := cluster.Stats(bursts)
 	fdctx, fdspan, endFold := startStage(ctx, spanFold)
@@ -528,21 +540,32 @@ func analyzeTail(ctx context.Context, in tailInput, opt Options, ds *diagSink) (
 // validates is used as-is (the pristine fast path — bitwise-identical
 // behavior to strict mode). A damaged trace is cloned, sanitized, and
 // per-rank re-validated; ranks that remain invalid after repair are dropped.
-// The caller's trace is never modified.
-func prepare(tr *trace.Trace, ds *diagSink) *trace.Trace {
-	if tr.Validate() == nil {
-		return tr
+// The caller's trace is never modified. Validation runs rank by rank and
+// checks ctx between ranks; a canceled ctx returns its error.
+func prepare(ctx context.Context, tr *trace.Trace, ds *diagSink) (*trace.Trace, error) {
+	valid := true
+	for r := 0; r < len(tr.Ranks) && valid; r++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		valid = tr.ValidateRank(r) == nil
+	}
+	if valid {
+		return tr, nil
 	}
 	work := tr.Clone()
 	ds.fromProblems(work.Sanitize())
 	for r := range work.Ranks {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		if err := work.ValidateRank(r); err != nil {
 			work.Ranks[r].Events = nil
 			work.Ranks[r].Samples = nil
 			ds.add("validate", KindRankDropped, SeverityError, r, -1, "rank unrepairable, dropped: %v", err)
 		}
 	}
-	return work
+	return work, nil
 }
 
 // rankExtract is one rank's extraction outcome slot. stopped marks ranks
@@ -845,23 +868,27 @@ func runStructure(ctx context.Context, bursts []trace.Burst, opt Options) ([]int
 }
 
 // spmdScore aligns the per-rank cluster-label sequences and scores their
-// agreement.
-func spmdScore(nRanks int, bursts []trace.Burst) float64 {
+// agreement, stamping the aligned symbol count on span. Only the caller's
+// ctx ending is an error; a failed alignment scores 0.
+func spmdScore(ctx context.Context, span *obs.Span, nRanks int, bursts []trace.Burst) (float64, error) {
 	if nRanks < 2 {
-		return 1
+		return 1, nil
 	}
 	seqs := make([][]int, nRanks)
+	var symbols int64
 	for i := range bursts {
 		b := &bursts[i]
 		if b.Cluster >= 0 {
 			seqs[b.Rank] = append(seqs[b.Rank], b.Cluster)
+			symbols++
 		}
 	}
-	msa, err := align.Progressive(seqs, align.DefaultScoring())
+	span.SetAttr("symbols", symbols)
+	msa, err := align.ProgressiveContext(ctx, seqs, align.DefaultScoring())
 	if err != nil {
-		return 0
+		return 0, ctx.Err()
 	}
-	return msa.SPMDScore()
+	return msa.SPMDScore(), nil
 }
 
 // fitCluster fits the PWL models and assembles the phase list of one

@@ -261,6 +261,19 @@ func TestAnalyzeCancelsPromptly(t *testing.T) {
 	}
 }
 
+func TestPrepareStopsOnCancel(t *testing.T) {
+	tr := acquireTrace(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := prepare(ctx, tr, newDiagSink(context.Background())); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled prepare returned %v, want context.Canceled", err)
+	}
+	got, err := prepare(context.Background(), tr, newDiagSink(context.Background()))
+	if err != nil || got != tr {
+		t.Fatalf("prepare of a valid trace = %p, %v; want the trace itself", got, err)
+	}
+}
+
 func TestMergeContextCancels(t *testing.T) {
 	tr := acquireTrace(t)
 	ctx, cancel := context.WithCancel(context.Background())

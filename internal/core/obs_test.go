@@ -38,7 +38,7 @@ func TestAnalyzeRecordsSpanTree(t *testing.T) {
 	if v, _ := analyze.Attr("outcome"); v != "ok" {
 		t.Errorf("analyze outcome attr = %v, want ok", v)
 	}
-	for _, stage := range []string{"prepare", "extract", "cluster", "fold", "fit"} {
+	for _, stage := range []string{"prepare", "extract", "cluster", "spmd", "fold", "fit"} {
 		if analyze.Child(stage) == nil {
 			t.Errorf("stage span %q missing", stage)
 		}
@@ -104,7 +104,7 @@ func TestAnalyzeFillsMetrics(t *testing.T) {
 		t.Errorf("%s = %d, want > 0", obs.MetricPWLFits, got)
 	}
 	// One duration observation per stage.
-	for _, stage := range []string{"prepare", "extract", "cluster", "fold", "fit"} {
+	for _, stage := range []string{"prepare", "extract", "cluster", "spmd", "fold", "fit"} {
 		h := reg.Histogram(obs.MetricStageDuration, "", obs.DurationBuckets(),
 			obs.Label{K: "stage", V: stage})
 		if h.Count() != 1 {

@@ -14,6 +14,7 @@ const (
 	spanPrepare = "prepare"
 	spanExtract = "extract"
 	spanCluster = "cluster"
+	spanSPMD    = "spmd"
 	spanFold    = "fold"
 	spanFit     = "fit"
 )
