@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"phasefold/internal/counters"
 	"phasefold/internal/exec"
 	"phasefold/internal/simapp"
 	"phasefold/internal/trace"
@@ -49,6 +50,19 @@ func TestAnalyzeParallelIdenticalToSerial(t *testing.T) {
 	} {
 		inputs[spec] = damage(t, base, spec)
 	}
+	// A rotating counter schedule folds each cluster into clouds with
+	// different X sequences, which the fold sorts separately.
+	app, err := simapp.NewApp("multiphase")
+	if err != nil {
+		t.Fatal(err)
+	}
+	muxOpt := DefaultOptions()
+	muxOpt.Schedule = counters.NewSchedule(counters.DefaultGroups())
+	run, err := RunApp(app, simapp.Config{Ranks: 4, Iterations: 120, Seed: 42, FreqGHz: 2}, muxOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs["multiplexed"] = run.Trace
 	for name, tr := range inputs {
 		t.Run(name, func(t *testing.T) {
 			opt := DefaultOptions()

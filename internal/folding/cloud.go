@@ -1,6 +1,8 @@
 package folding
 
 import (
+	"math/bits"
+
 	"phasefold/internal/callstack"
 	"phasefold/internal/counters"
 	"phasefold/internal/sim"
@@ -27,14 +29,29 @@ func KeyOf(b *trace.Burst) BurstKey {
 // pipeline assigns much later — so clouds can be built eagerly at sample
 // attach time and replayed per cluster at the end via CloudProjector.
 //
-// Observe applies exactly the arithmetic of the batch projection (foldBurst)
-// in the same per-sample order: counter ids ascending, then the stack
-// observation. Replaying members in the batch member order therefore yields
-// the identical pre-sort point sequence, and hence identical sorted output.
+// The cloud is sample-major: one row per projected sample holding its X, the
+// Y of every captured counter, a presence mask and the stack, so a burst
+// grows one slice rather than one per counter. Observe applies exactly the
+// arithmetic of the batch projection (foldBurst), and CloudProjector replays
+// the rows counter by counter, so each counter receives the identical
+// per-burst point sequence; replaying members in the batch member order
+// therefore yields the identical pre-sort clouds, and hence identical sorted
+// output.
 type BurstCloud struct {
-	Points [counters.NumIDs][]Point
-	Stacks []StackSample
+	rows []cloudRow
 }
+
+// cloudRow is one projected sample. Bit id of mask is set when y[id] holds
+// a projection of counter id.
+type cloudRow struct {
+	x     float64
+	y     [counters.NumIDs]float64
+	mask  uint16
+	stack callstack.StackID
+}
+
+// The presence mask holds one bit per counter id.
+var _ [16 - counters.NumIDs]struct{}
 
 // Observe projects sample s, known to lie inside burst b, into the cloud.
 func (c *BurstCloud) Observe(b *trace.Burst, s *trace.Sample) {
@@ -46,6 +63,7 @@ func (c *BurstCloud) Observe(b *trace.Burst, s *trace.Sample) {
 	if x < 0 || x > 1 {
 		return
 	}
+	r := cloudRow{x: x, stack: s.Stack}
 	for id := counters.ID(0); id < counters.NumIDs; id++ {
 		sv, ok1 := s.Counters.Get(id)
 		base, ok2 := b.StartCtr.Get(id)
@@ -53,19 +71,19 @@ func (c *BurstCloud) Observe(b *trace.Burst, s *trace.Sample) {
 		if !ok1 || !ok2 || !ok3 || total <= 0 {
 			continue
 		}
-		y := sim.Clamp(float64(sv-base)/float64(total), 0, 1)
-		c.Points[id] = append(c.Points[id], Point{X: x, Y: y})
+		r.y[id] = sim.Clamp(float64(sv-base)/float64(total), 0, 1)
+		r.mask |= 1 << id
 	}
-	if s.Stack != callstack.NoStack {
-		c.Stacks = append(c.Stacks, StackSample{X: x, Stack: s.Stack})
+	if r.mask != 0 || r.stack != callstack.NoStack {
+		c.rows = append(c.rows, r)
 	}
 }
 
 // NumPoints returns the observation count summed over all counters.
 func (c *BurstCloud) NumPoints() int {
 	n := 0
-	for id := range c.Points {
-		n += len(c.Points[id])
+	for i := range c.rows {
+		n += bits.OnesCount16(c.rows[i].mask)
 	}
 	return n
 }
@@ -80,9 +98,19 @@ func CloudProjector(clouds map[BurstKey]*BurstCloud) Projector {
 		if c == nil {
 			return
 		}
-		for id := range c.Points {
-			f.Points[id] = append(f.Points[id], c.Points[id]...)
+		for id := range f.Points {
+			pts := f.Points[id]
+			for i := range c.rows {
+				if r := &c.rows[i]; r.mask&(1<<id) != 0 {
+					pts = append(pts, Point{X: r.x, Y: r.y[id]})
+				}
+			}
+			f.Points[id] = pts
 		}
-		f.Stacks = append(f.Stacks, c.Stacks...)
+		for i := range c.rows {
+			if r := &c.rows[i]; r.stack != callstack.NoStack {
+				f.Stacks = append(f.Stacks, StackSample{X: r.x, Stack: r.stack})
+			}
+		}
 	}
 }

@@ -20,6 +20,7 @@ package folding
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -39,6 +40,7 @@ type foldScratch struct {
 	members []*trace.Burst
 	durs    []float64
 	deltas  [counters.NumIDs][]float64
+	keys    []xKey
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(foldScratch) }}
@@ -137,12 +139,14 @@ func (f *Folded) RateScale(id counters.ID) (float64, bool) {
 
 // Projector appends one burst's folded observations (normalized points and
 // stack samples) to f. It is the seam between the folding algebra — median
-// durations, outlier pruning, delta medians, final sorts — and the source of
-// the per-sample projections: the batch path projects lazily out of a
+// durations, outlier pruning, delta medians, the final sort — and the source
+// of the per-sample projections: the batch path projects lazily out of a
 // resident trace (TraceProjector), the streaming path replays clouds built
 // eagerly as samples arrived (CloudProjector). Both append identical values
 // in identical order, which keeps the two paths byte-identical through the
-// unstable final sort.
+// unstable final sort. That sort orders the longest cloud's X sequence once
+// and applies the permutation to every cloud sharing it (see sortClouds):
+// under a native PMU all counters and the stack timeline take one sort.
 type Projector func(f *Folded, b *trace.Burst)
 
 // TraceProjector projects burst samples directly out of the resident trace —
@@ -224,12 +228,143 @@ func FoldWith(project Projector, bursts []trace.Burst, label int, opt Options) (
 			f.TotalDelta[id] = int64(sim.Median(deltas[id]))
 		}
 	}
-	for id := range f.Points {
-		pts := f.Points[id]
-		sort.Slice(pts, func(i, j int) bool { return pts[i].X < pts[j].X })
-	}
-	sort.Slice(f.Stacks, func(i, j int) bool { return f.Stacks[i].X < f.Stacks[j].X })
+	sortClouds(f, sc)
 	return f, nil
+}
+
+// xKey is one point of a reference cloud during the shared sort: its X and
+// its position before the sort.
+type xKey struct {
+	x float64
+	i int
+}
+
+// cmpX orders by X alone. slices.SortFunc only ever asks cmpX(a, b) < 0,
+// that is a.X < b.X, and runs the same pdqsort template as sort.Slice, so
+// it makes the same comparisons and swaps as sort.Slice with that less
+// function and yields the same permutation, ties included. The oracle and
+// fuzz tests in this package pin that identity on every toolchain.
+func cmpX(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+func cmpKeyX(a, b xKey) int          { return cmpX(a.x, b.x) }
+func cmpPointX(a, b Point) int       { return cmpX(a.X, b.X) }
+func cmpStackX(a, b StackSample) int { return cmpX(a.X, b.X) }
+
+// sortClouds sorts every counter cloud and the stack timeline of f by X,
+// each into exactly the order an unstable sort of that cloud alone would
+// give. Most clouds of a cluster share one pre-sort X sequence (every sample
+// projects into every captured counter and the stack timeline), and a sort
+// driven only by X comparisons permutes equal key sequences identically. So
+// the longest cloud is sorted once as (X, index) keys, and the resulting
+// permutation is applied in place to every cloud whose X sequence equals it
+// position by position. A cloud with a different sequence — a multiplexed
+// counter, or one skipped in some bursts — is sorted on its own.
+func sortClouds(f *Folded, sc *foldScratch) {
+	ref := 0
+	for id := range f.Points {
+		if len(f.Points[id]) > len(f.Points[ref]) {
+			ref = id
+		}
+	}
+	refPts := f.Points[ref]
+	var shared [counters.NumIDs][]Point
+	n := 0
+	for _, pts := range f.Points {
+		if sameX(pts, refPts) {
+			shared[n] = pts
+			n++
+		} else {
+			slices.SortFunc(pts, cmpPointX)
+		}
+	}
+	var stacks []StackSample
+	if sameStackX(f.Stacks, refPts) {
+		stacks = f.Stacks
+	} else {
+		slices.SortFunc(f.Stacks, cmpStackX)
+	}
+	keys := sc.keys[:0]
+	for i, p := range refPts {
+		keys = append(keys, xKey{x: p.X, i: i})
+	}
+	sc.keys = keys
+	slices.SortFunc(keys, cmpKeyX)
+	permute(keys, shared[:n], stacks)
+}
+
+// permute rearranges clouds (and stacks, when non-nil) in place so that
+// position k holds the element that was at keys[k].i, walking each cycle of
+// the permutation once and moving every cloud along it. keys is consumed:
+// visited entries are marked with a negative index.
+func permute(keys []xKey, clouds [][]Point, stacks []StackSample) {
+	var tmp [counters.NumIDs]Point
+	var tmpStack StackSample
+	for s := range keys {
+		if src := keys[s].i; src == s || src < 0 {
+			continue
+		}
+		for c, pts := range clouds {
+			tmp[c] = pts[s]
+		}
+		if stacks != nil {
+			tmpStack = stacks[s]
+		}
+		j := s
+		for {
+			src := keys[j].i
+			keys[j].i = -1
+			if src == s {
+				for c, pts := range clouds {
+					pts[j] = tmp[c]
+				}
+				if stacks != nil {
+					stacks[j] = tmpStack
+				}
+				break
+			}
+			for _, pts := range clouds {
+				pts[j] = pts[src]
+			}
+			if stacks != nil {
+				stacks[j] = stacks[src]
+			}
+			j = src
+		}
+	}
+}
+
+// sameX reports whether a and b hold equal X values position by position.
+func sameX(a, b []Point) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].X != b[i].X {
+			return false
+		}
+	}
+	return true
+}
+
+// sameStackX is sameX between a stack timeline and a counter cloud.
+func sameStackX(a []StackSample, b []Point) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].X != b[i].X {
+			return false
+		}
+	}
+	return true
 }
 
 // foldBurst projects one burst's samples into the cloud.

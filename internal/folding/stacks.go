@@ -1,6 +1,8 @@
 package folding
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"phasefold/internal/callstack"
@@ -118,14 +120,14 @@ func Profile(f *Folded, in *callstack.Interner, x0, x1 float64) []LineProfile {
 			Share:   float64(n) / float64(total),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
+	slices.SortFunc(out, func(a, b LineProfile) int {
+		if c := cmp.Compare(b.Count, a.Count); c != 0 {
+			return c
 		}
-		if out[i].Routine != out[j].Routine {
-			return out[i].Routine < out[j].Routine
+		if c := cmp.Compare(a.Routine, b.Routine); c != 0 {
+			return c
 		}
-		return out[i].Line < out[j].Line
+		return cmp.Compare(a.Line, b.Line)
 	})
 	return out
 }

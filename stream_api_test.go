@@ -16,13 +16,20 @@ import (
 // encoded stream with the fault spec, and returns the final byte stream.
 func encodedTrace(t *testing.T, name string, iters int, spec string, seed uint64) []byte {
 	t.Helper()
+	return encodedTraceWith(t, name, iters, spec, seed, phasefold.DefaultOptions())
+}
+
+// encodedTraceWith is encodedTrace acquiring under opt (e.g. a multiplexed
+// counter schedule).
+func encodedTraceWith(t *testing.T, name string, iters int, spec string, seed uint64, opt phasefold.Options) []byte {
+	t.Helper()
 	app, err := phasefold.NewApp(name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := phasefold.DefaultConfig()
 	cfg.Iterations = iters
-	run, err := phasefold.RunApp(app, cfg, phasefold.DefaultOptions())
+	run, err := phasefold.RunApp(app, cfg, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,23 +55,31 @@ func TestStreamEquivalenceTable(t *testing.T) {
 		name    string
 		spec    string
 		salvage bool
+		mux     bool
 	}{
-		{"pristine", "", false},
-		{"drop", "drop=0.2", false},
-		{"killrank", "killrank=0.3", false},
-		{"truncate", "truncate=0.5", false},
-		{"skew", "skew=50us", false},
-		{"wrap", "wrap=40", false},
-		{"dup", "dup=0.05", false},
-		{"reorder", "reorder=0.02", false},
-		{"zero", "zero=0.02", false},
-		{"garble", "garble=0.02", false},
-		{"salvage-chop", "chop=0.6", true},
-		{"salvage-corrupt", "corrupt=0.0002", true},
+		{"pristine", "", false, false},
+		// A rotating counter schedule folds each cluster into clouds with
+		// different X sequences, which the fold sorts separately.
+		{"multiplexed", "", false, true},
+		{"drop", "drop=0.2", false, false},
+		{"killrank", "killrank=0.3", false, false},
+		{"truncate", "truncate=0.5", false, false},
+		{"skew", "skew=50us", false, false},
+		{"wrap", "wrap=40", false, false},
+		{"dup", "dup=0.05", false, false},
+		{"reorder", "reorder=0.02", false, false},
+		{"zero", "zero=0.02", false, false},
+		{"garble", "garble=0.02", false, false},
+		{"salvage-chop", "chop=0.6", true, false},
+		{"salvage-corrupt", "corrupt=0.0002", true, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			raw := encodedTrace(t, "multiphase", 150, tc.spec, 7)
+			acq := phasefold.DefaultOptions()
+			if tc.mux {
+				acq = phasefold.MultiplexedOptions()
+			}
+			raw := encodedTraceWith(t, "multiphase", 150, tc.spec, 7, acq)
 			var opts []phasefold.Option
 			if tc.salvage {
 				opts = append(opts, phasefold.WithSalvage())
