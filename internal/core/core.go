@@ -271,6 +271,13 @@ func Analyze(ctx context.Context, tr *trace.Trace, opt Options) (*Model, error) 
 	}
 	ctx, aspan := obs.StartSpan(ctx, spanAnalyze)
 	m, err := analyze(ctx, tr, opt)
+	return m, endAnalysis(ctx, aspan, m, err)
+}
+
+// endAnalysis is the epilogue Analyze and AnalyzeBursts share: it grades
+// the run's outcome onto the analyze span, counts it, logs the finished
+// model, and passes err through.
+func endAnalysis(ctx context.Context, aspan *obs.Span, m *Model, err error) error {
 	outcome := "ok"
 	switch {
 	case err != nil:
@@ -288,7 +295,7 @@ func Analyze(ctx context.Context, tr *trace.Trace, opt Options) (*Model, error) 
 			"bursts", m.NumBursts, "clusters", m.NumClusters,
 			"diagnostics", len(m.Diagnostics))
 	}
-	return m, err
+	return err
 }
 
 // analyze is the Analyze body, under the run's "analyze" span: the
@@ -397,24 +404,7 @@ func AnalyzeBursts(ctx context.Context, in BurstsInput, opt Options) (*Model, er
 		bursts:  in.Bursts,
 		project: in.Project,
 	}, opt, ds)
-	outcome := "ok"
-	switch {
-	case err != nil:
-		outcome = "error"
-	case m.Degraded():
-		outcome = "degraded"
-	}
-	aspan.SetAttr("outcome", outcome)
-	aspan.End()
-	obs.Metrics(ctx).Counter(obs.MetricAnalyses, "Analyses run, by outcome.",
-		obs.Label{K: "outcome", V: outcome}).Inc()
-	if m != nil {
-		obs.Logger(ctx).Info("analysis complete",
-			"app", m.App, "outcome", outcome,
-			"bursts", m.NumBursts, "clusters", m.NumClusters,
-			"diagnostics", len(m.Diagnostics))
-	}
-	return m, err
+	return m, endAnalysis(ctx, aspan, m, err)
 }
 
 // analyzeTail is the shared back half of the pipeline, from burst sorting

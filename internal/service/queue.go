@@ -187,19 +187,8 @@ func (p *pool) run(j *job) {
 			view = model.Export(tr)
 			app = model.App
 			clusters, bursts = model.NumClusters, model.NumBursts
-			diags = diags[:0]
-			for _, d := range model.Diagnostics {
-				diags = append(diags, d.String())
-			}
-			degraded := model.Degraded()
-			detail := fmt.Sprintf("%d clusters, %d bursts", clusters, bursts)
-			if rep != nil && !rep.Complete() {
-				degraded = true
-				detail += ", salvaged"
-			}
-			if len(diags) > 0 {
-				detail += fmt.Sprintf(", %d diagnostics", len(diags))
-			}
+			detail, degraded, modelDiags := summarize(model, rep)
+			diags = modelDiags
 			return detail, degraded, nil
 		},
 	})
@@ -233,6 +222,25 @@ func (p *pool) run(j *job) {
 	pubSpan.End()
 	s.finishTrace(jt, jr.Outcome.String())
 	s.fly.complete(j.key, res)
+}
+
+// summarize renders what a finished analysis contributes to its result
+// document — the detail line, whether it is degraded, the diagnostics — the
+// same way for the queued and the streamed path.
+func summarize(model *core.Model, rep *trace.SalvageReport) (detail string, degraded bool, diags []string) {
+	for _, d := range model.Diagnostics {
+		diags = append(diags, d.String())
+	}
+	degraded = model.Degraded()
+	detail = fmt.Sprintf("%d clusters, %d bursts", model.NumClusters, model.NumBursts)
+	if rep != nil && !rep.Complete() {
+		degraded = true
+		detail += ", salvaged"
+	}
+	if len(diags) > 0 {
+		detail += fmt.Sprintf(", %d diagnostics", len(diags))
+	}
+	return detail, degraded, diags
 }
 
 // shortDigest abbreviates a content digest for job names and log lines.

@@ -111,8 +111,8 @@ type Config struct {
 	SpoolDir string
 	// StreamUploads analyzes chunked (unknown-length) binary uploads while
 	// the body is still arriving: the spool tee feeds an incremental
-	// stream.Session, and a pristine streamed result — clean decode, zero
-	// diagnostics, not degraded — is published without ever entering the
+	// stream.Session, and a pristine streamed result — clean decode, no
+	// rank dropped by the session — is published without ever entering the
 	// queue. Declared-length bodies, text uploads, and anything needing
 	// repair fall back to the classic spool-then-queue path unchanged.
 	StreamUploads bool

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"fmt"
 	"io"
 
 	"phasefold/internal/core"
@@ -15,10 +14,10 @@ import (
 // it is still arriving. The spool copy tees every byte into a pipe feeding an
 // incremental stream.Session, so the job's `stream` span runs concurrently
 // with its `spool` span. When the body lands the session is sealed; a
-// pristine result — clean decode, zero diagnostics, not degraded — is
+// pristine result — clean decode, no rank dropped by the session — is
 // published directly and never enters the queue. Anything else (damage,
-// repairs, session failure) falls back to the classic spooled path, whose
-// input is complete on disk regardless: the tee never gates the spool.
+// dropped ranks, session failure) falls back to the classic spooled path,
+// whose input is complete on disk regardless: the tee never gates the spool.
 
 // streamChunkRecords is the record granularity the streamed path feeds the
 // session: small enough to keep live snapshots fresh, large enough to
@@ -120,12 +119,21 @@ func (a *streamAttempt) seal(copyErr error) {
 
 // pristine reports whether the sealed attempt may serve as the upload's
 // result: the stream decoded without salvage repairs, the session finished,
-// and the model carries no diagnostics or degradation — exactly the runs
-// whose streamed model is byte-identical to the batch path's.
+// and it dropped no rank (no "validate" diagnostic). Diagnostics of the
+// shared pipeline tail, such as a sparse folded cloud, do not disqualify
+// it: batch raises them identically. The streamed model is then the batch
+// path's, except where the session's weaker per-stream counter check lets
+// through a regression that batch masks (see stream.Session.feedEvent).
 func (a *streamAttempt) pristine() bool {
-	return a.err == nil && a.model != nil &&
-		len(a.model.Diagnostics) == 0 && !a.model.Degraded() &&
-		(a.report == nil || a.report.Complete())
+	if a.err != nil || a.model == nil || (a.report != nil && !a.report.Complete()) {
+		return false
+	}
+	for _, d := range a.model.Diagnostics {
+		if d.Stage == "validate" {
+			return false
+		}
+	}
+	return true
 }
 
 // streamedResult renders a pristine attempt into the same servable result
@@ -135,12 +143,15 @@ func (a *streamAttempt) streamedResult(j *job) *result {
 	if !a.pristine() {
 		return nil
 	}
-	view := a.model.Export(a.skel)
+	detail, degraded, diags := summarize(a.model, a.report)
 	jr := runner.JobResult{
 		Name:     "sha256:" + shortDigest(j.key.Digest),
 		Outcome:  runner.OK,
-		Detail:   fmt.Sprintf("%d clusters, %d bursts", a.model.NumClusters, a.model.NumBursts),
+		Detail:   detail,
 		Attempts: 1,
 	}
-	return buildResult(j, jr, view, a.model.App, a.model.NumClusters, a.model.NumBursts, nil)
+	if degraded {
+		jr.Outcome = runner.Degraded
+	}
+	return buildResult(j, jr, a.model.Export(a.skel), a.model.App, a.model.NumClusters, a.model.NumBursts, diags)
 }

@@ -170,6 +170,44 @@ func TestStreamedUploadFallsBackOnDamage(t *testing.T) {
 	}
 }
 
+// TestStreamedUploadServesTailDiagnostics: a clean chunked upload whose
+// model carries a diagnostic of the shared pipeline tail — a folded cloud
+// too sparse to fit, which stencil raises on every seed — is still served
+// from the stream, and its degraded document is the one the queue path
+// renders for the same bytes.
+func TestStreamedUploadServesTailDiagnostics(t *testing.T) {
+	data := encodeApp(t, "stencil", 4, 100, 1)
+	const traceID = "stream-sparse-1"
+
+	_, ts := newTestService(t, nil)
+	resp, doc := chunkedUpload(t, ts.URL, data, map[string]string{"X-Request-Id": traceID})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("streamed upload: status %d body %s", resp.StatusCode, doc)
+	}
+	if got := resp.Header.Get("X-Cache"); got != "stream" {
+		t.Fatalf("X-Cache = %q, want stream (body %s)", got, doc)
+	}
+	var rd struct {
+		Outcome     string   `json:"outcome"`
+		Diagnostics []string `json:"diagnostics"`
+	}
+	if err := json.Unmarshal(doc, &rd); err != nil {
+		t.Fatal(err)
+	}
+	if rd.Outcome != "degraded" || len(rd.Diagnostics) == 0 {
+		t.Fatalf("want a degraded document with tail diagnostics, got %s", doc)
+	}
+
+	_, ts2 := newTestService(t, nil)
+	resp2, doc2 := upload(t, ts2.URL, data, map[string]string{"X-Request-Id": traceID})
+	if got := resp2.Header.Get("X-Cache"); got != "miss" {
+		t.Errorf("classic X-Cache = %q, want miss", got)
+	}
+	if !bytes.Equal(doc, doc2) {
+		t.Errorf("streamed document differs from the classic path's:\nstream: %s\nqueue:  %s", doc, doc2)
+	}
+}
+
 // TestStreamedUploadDisabled: with StreamUploads off a chunked upload is a
 // plain queued analysis — no stream span, no X-Cache: stream.
 func TestStreamedUploadDisabled(t *testing.T) {

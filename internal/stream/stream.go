@@ -252,9 +252,12 @@ func (s *Session) feedEvent(rs *rankState, rank int, e trace.Event) error {
 	rs.evIdx++
 	// The per-record validation mirrors trace.ValidateRank field by field;
 	// counter monotonicity is checked per stream rather than on the merged
-	// event+sample timeline (the streams are consumed independently), a
-	// deliberately weaker check that never rejects a trace the batch
-	// validator accepts.
+	// event+sample timeline (the streams are consumed independently). The
+	// weaker check never rejects a trace the batch validator accepts, but it
+	// also accepts some that batch repairs: a sample whose counter falls
+	// below the preceding event's yet stays above the previous sample's
+	// passes here, while batch masks it as sanitize/counter-regress and
+	// grades the model degraded.
 	switch {
 	case e.Time < rs.evPrev:
 		return s.fail(rs, rank, fmt.Errorf("%w: rank %d event %d out of order (%d after %d)", trace.ErrInvalid, rank, i, e.Time, rs.evPrev))

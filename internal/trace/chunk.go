@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -23,22 +24,20 @@ type Chunk struct {
 // Records returns the record count of the chunk.
 func (c *Chunk) Records() int { return len(c.Events) + len(c.Samples) }
 
-// ChunkReader decodes a binary trace stream ("PFT2" or legacy "PFT1")
-// incrementally: the header (app name, symbol and stack tables, rank count)
-// is decoded eagerly by NewChunkReader, and Next then yields bounded record
-// chunks without ever materializing a whole rank section as records. Only
-// the current section's undecoded bytes are buffered, so memory stays
-// bounded by the chunk limit plus the codec's I/O buffers — this is the
-// reader behind Stream sessions analyzing traces larger than memory.
+// ChunkReader is the binary trace parser: the header (app name, symbol and
+// stack tables, rank count) is decoded eagerly by NewChunkReader, and Next
+// then yields bounded record chunks without ever materializing a whole rank
+// section as records. Only the current section's undecoded bytes are
+// buffered, so memory stays bounded by the chunk limit plus the codec's I/O
+// buffers — this is the reader behind Stream sessions analyzing traces
+// larger than memory. Decode drives the same header, section and record
+// code, so both produce bit-identical records.
 //
-// The records produced are bit-identical to Decode's: both paths share the
-// per-record decoders. Salvage mode keeps every record decoded before a
-// damage point; in the sectioned "PFT2" container a damaged section is
-// skipped via its length prefix and later ranks still decode, matching the
-// batch decoder's per-section isolation. Unlike Decode, salvage here does
-// NOT run Sanitize over the recovered records (there is no resident trace
-// to repair); the streaming session's own per-rank validation takes that
-// role. Header damage is never salvageable.
+// Salvage mode keeps every record decoded before a damage point; a damaged
+// section is skipped via its length prefix and later ranks still decode.
+// Salvage here does not run Sanitize over the recovered records (there is no
+// resident trace to repair); the streaming session's own per-rank
+// validation takes that role. Header damage is never salvageable.
 type ChunkReader struct {
 	ctx      context.Context
 	opt      DecodeOptions
@@ -49,23 +48,18 @@ type ChunkReader struct {
 	stackIDs []callstack.StackID
 	nRanks   int
 
-	sectioned bool
-	section   *io.LimitedReader
-	secBuf    *bufio.Reader
-	rr        *reader // record-level reader for the current source
+	section *io.LimitedReader // the current rank's section bytes (streamed reads only)
+	secBuf  *bufio.Reader
+	cur     *rankDecoder // the current rank's record loop; nil between sections
+	rank    int          // current rank; nRanks when exhausted
 
-	rank    int // current rank being decoded; nRanks when exhausted
-	started bool
-	phase   int // 0 = section start, 1 = events, 2 = samples
-	left    int // records left in the current phase
-	prev    sim.Time
-
-	events, samples int
-	emitted         []bool // per rank: any records yielded
-	dangling        int
-	damage          error // first suppressed damage (salvage mode)
-	done            bool
+	counts []recordCount // per rank: records yielded
+	log    salvageLog
+	done   bool
 }
+
+// recordCount is how many records of one rank survived a read.
+type recordCount struct{ events, samples int }
 
 // NewChunkReader reads the stream header from r and returns a reader
 // positioned at the first rank's records. Errors wrap the package sentinels
@@ -75,36 +69,78 @@ func NewChunkReader(ctx context.Context, rd io.Reader, opt DecodeOptions) (*Chun
 		return nil, err
 	}
 	outer := bufio.NewReaderSize(rd, 1<<16)
-	hr := &reader{r: outer, ctx: ctx}
 	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(hr.r, magic); err != nil {
+	if _, err := io.ReadFull(outer, magic); err != nil {
 		return nil, fmt.Errorf("reading magic: %w", classifyRead(err))
 	}
-	var sectioned bool
-	switch string(magic) {
-	case binaryMagic:
-	case binaryMagicV2:
-		sectioned = true
-	default:
+	if string(magic) != binaryMagic {
+		if string(magic) == "PFT1" {
+			return nil, fmt.Errorf("%w: %q is the retired unframed layout, which is no longer read; re-encode the trace as %q",
+				ErrBadMagic, magic, binaryMagic)
+		}
 		return nil, fmt.Errorf("%w: %q", ErrBadMagic, magic)
 	}
-	app, syms, stacks, stackIDs, nRanks, err := decodeHeader(hr)
-	if err != nil {
+	cr := &ChunkReader{ctx: ctx, opt: opt, outer: outer, log: salvageLog{salvage: opt.Salvage}}
+	if err := cr.decodeHeader(); err != nil {
 		return nil, err
 	}
-	cr := &ChunkReader{
-		ctx: ctx, opt: opt, outer: outer,
-		app: app, syms: syms, stacks: stacks, stackIDs: stackIDs, nRanks: nRanks,
-		sectioned: sectioned,
-		emitted:   make([]bool, nRanks),
-	}
-	if sectioned {
-		cr.section = &io.LimitedReader{R: outer}
-		cr.secBuf = bufio.NewReaderSize(nil, 1<<12)
-	} else {
-		cr.rr = hr
-	}
+	cr.counts = make([]recordCount, cr.nRanks)
 	return cr, nil
+}
+
+// decodeHeader reads everything up to the rank sections: app name, symbol
+// table, stack table, and the rank count. Header damage is never
+// salvageable — the tables interpret every record downstream.
+func (cr *ChunkReader) decodeHeader() error {
+	r := &reader{r: cr.outer, ctx: cr.ctx}
+	cr.app = r.str()
+	cr.syms = callstack.NewSymbolTable()
+	nRoutines := r.count("routine", maxTableCount)
+	for i := 0; i < nRoutines && r.poll(); i++ {
+		rt := callstack.Routine{
+			Name:      r.str(),
+			File:      r.str(),
+			StartLine: int(r.uvarint()),
+			EndLine:   int(r.uvarint()),
+		}
+		if r.err == nil {
+			// Define panics on malformed routines (a programming error
+			// in-process); from the wire, malformation is corruption.
+			if cerr := rt.Check(); cerr != nil {
+				r.err = fmt.Errorf("%w: routine %d: %v", ErrCorrupt, i, cerr)
+				break
+			}
+			cr.syms.Define(rt)
+		}
+	}
+	cr.stacks = callstack.NewInterner()
+	nStacks := r.count("stack", maxTableCount)
+	cr.stackIDs = make([]callstack.StackID, 0, min(nStacks, 1<<16))
+	for i := 0; i < nStacks && r.poll(); i++ {
+		nf := r.count("frame", maxStackFrames)
+		if r.err != nil {
+			break
+		}
+		st := make(callstack.Stack, 0, min(nf, 64))
+		for j := 0; j < nf && r.err == nil; j++ {
+			st = append(st, callstack.Frame{
+				Routine: callstack.RoutineID(r.varint()),
+				Line:    int(r.uvarint()),
+			})
+		}
+		if r.err != nil {
+			break
+		}
+		cr.stackIDs = append(cr.stackIDs, cr.stacks.Intern(st))
+	}
+	cr.nRanks = r.count("rank", maxTableCount)
+	if r.err != nil {
+		return classifyRead(r.err)
+	}
+	if cr.nRanks == 0 {
+		return fmt.Errorf("%w: decoded trace has no ranks", ErrNoRanks)
+	}
+	return nil
 }
 
 // App returns the application name from the header.
@@ -128,90 +164,286 @@ func (cr *ChunkReader) Skeleton() (*Trace, error) {
 
 // Report describes what a salvage-mode read recovered; it is meaningful
 // once Next has returned io.EOF and nil before that (and always nil in
-// strict mode, mirroring Decode). Problems stays empty: ChunkReader streams
-// records through without retaining a trace to sanitize.
+// strict mode, mirroring Decode). Problems lists only cleared stack
+// references: ChunkReader streams records through without retaining a
+// trace to sanitize.
 func (cr *ChunkReader) Report() *SalvageReport {
 	if !cr.opt.Salvage || !cr.done {
 		return nil
 	}
-	rep := &SalvageReport{Err: cr.damage, Events: cr.events, Samples: cr.samples}
-	if cr.dangling > 0 {
-		rep.Problems = append(rep.Problems, Problem{
-			Rank: -1, Kind: ProblemDanglingStack, Count: cr.dangling,
-			Detail: "samples referencing undefined stacks cleared",
-		})
-	}
-	if rep.Err != nil {
-		for _, ok := range cr.emitted {
-			if !ok {
-				rep.RanksLost++
-			}
-		}
-	}
+	rep, _ := cr.log.finish(cr.counts, nil)
 	return rep
 }
 
-// fail finishes the stream on damage: strict mode (or cancellation, never
-// absorbed) returns the classified error; salvage mode records the first
-// damage and, in the sectioned container, skips to the next rank section.
-func (cr *ChunkReader) fail(err error) error {
+// sectionLen reads the next rank's section length prefix.
+func (cr *ChunkReader) sectionLen() (int64, error) {
+	r := &reader{r: cr.outer, ctx: cr.ctx}
+	n := r.uvarint()
+	if r.err != nil {
+		return 0, r.err
+	}
+	if n > maxSectionBytes {
+		return 0, fmt.Errorf("%w: rank %d section claims %d bytes, exceeds sanity limit %d",
+			ErrCorrupt, cr.rank, n, uint64(maxSectionBytes))
+	}
+	return int64(n), nil
+}
+
+// sliceSection copies the next rank's section into a pooled buffer, for a
+// decoder that drains sections concurrently, and reports how many of its
+// declared bytes the stream never delivered. The buffer grows only as bytes
+// actually arrive, so a hostile length prefix never becomes an up-front
+// allocation. A stream that ends inside the section returns the prefix it
+// carried together with the error; the prefix still decodes.
+func (cr *ChunkReader) sliceSection() (buf *bytes.Buffer, missing int64, err error) {
+	n, err := cr.sectionLen()
+	if err != nil {
+		return nil, 0, err
+	}
+	buf = getSectionBuf()
+	m, err := buf.ReadFrom(io.LimitReader(cr.outer, n))
+	if err == nil && m < n {
+		err = io.ErrUnexpectedEOF
+	}
+	cr.rank++
+	return buf, n - m, err
+}
+
+// sectionDecoder starts the record loop over a section sliceSection
+// copied. Call it on the goroutine that drains the section: the reader's
+// position is written per byte, and readers of different ranks allocated
+// side by side would share cache lines across workers.
+func (cr *ChunkReader) sectionDecoder(rank int, buf *bytes.Buffer, missing int64) *rankDecoder {
+	d := &rankDecoder{cr: cr, rank: rank, sliced: true, missing: missing}
+	d.src.Reset(buf.Bytes())
+	d.r = reader{r: &d.src, ctx: cr.ctx}
+	return d
+}
+
+// rankDecoder is the record loop of one rank section — event count, events,
+// sample count, samples — resumable at any record, so a section drains in
+// bounded chunks or all at once.
+type rankDecoder struct {
+	r        reader
+	cr       *ChunkReader // header tables and options; read-only here
+	sliced   bool         // the section was copied off the stream into bytes
+	src      bytes.Reader // the sliced section
+	missing  int64        // declared bytes a cut stream never delivered (sliced)
+	rank     int
+	phase    int // 0 = event count, 1 = events, 2 = samples
+	left     int // records left in the current phase
+	prev     sim.Time
+	dangling int // stack references cleared (salvage mode)
+}
+
+// unread returns how many of the section's declared bytes the records have
+// not consumed.
+func (d *rankDecoder) unread() int64 {
+	if d.sliced {
+		return int64(d.src.Len()) + d.missing
+	}
+	return int64(d.cr.secBuf.Buffered()) + d.cr.section.N
+}
+
+// next appends up to limit records of the section to c, sizing an empty
+// destination from the decoded counts (at most 1<<20 records up front). It
+// reports whether the section is finished, after checking its framing. On
+// error the records decoded before the damage stay in c — that prefix is
+// exactly what salvage keeps.
+func (d *rankDecoder) next(c *Chunk, limit int) (bool, error) {
+	r := &d.r
+	for limit > 0 {
+		switch d.phase {
+		case 0:
+			d.left = r.count("event", maxDecodeCount)
+			if r.err != nil {
+				return false, r.err
+			}
+			d.prev = 0
+			d.phase = 1
+		case 1:
+			if c.Events == nil {
+				c.Events = make([]Event, 0, min(d.left, limit, 1<<20))
+			}
+			n := min(d.left, limit)
+			for range n {
+				e, ok := d.event()
+				if !ok {
+					return false, r.err
+				}
+				c.Events = append(c.Events, e)
+			}
+			d.left -= n
+			limit -= n
+			if d.left > 0 {
+				return false, nil // chunk full
+			}
+			d.left = r.count("sample", maxDecodeCount)
+			if r.err != nil {
+				return false, r.err
+			}
+			d.prev = 0
+			d.phase = 2
+		case 2:
+			if c.Samples == nil {
+				c.Samples = make([]Sample, 0, min(d.left, limit, 1<<20))
+			}
+			n := min(d.left, limit)
+			for range n {
+				s, ok := d.sample()
+				if !ok {
+					return false, r.err
+				}
+				c.Samples = append(c.Samples, s)
+			}
+			d.left -= n
+			limit -= n
+			if d.left > 0 {
+				return false, nil // chunk full
+			}
+			// Leftover bytes mean the length prefix and the content
+			// disagree — unless the stream ended inside the section,
+			// which is truncation whichever reader sees it.
+			if rest := d.unread(); rest > 0 {
+				if n, _ := io.CopyN(io.Discard, r.r, rest); n < rest {
+					return false, io.ErrUnexpectedEOF
+				}
+				return false, fmt.Errorf("%w: rank %d section carries %d trailing bytes", ErrCorrupt, d.rank, rest)
+			}
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
+// event reads one event record. ok is false on a reader error or
+// cancellation; the partially-read record must then be discarded.
+func (d *rankDecoder) event() (Event, bool) {
+	r := &d.r
+	if !r.poll() {
+		return Event{}, false
+	}
+	d.prev += sim.Time(r.uvarint())
+	e := Event{
+		Time:     d.prev,
+		Rank:     int32(d.rank),
+		Type:     EventType(r.uvarint()),
+		Value:    r.varint(),
+		Group:    uint8(r.uvarint()),
+		Counters: r.counterSet(),
+	}
+	return e, r.err == nil
+}
+
+// sample reads one sample record, mapping its stack reference through the
+// header's stack table. A dangling reference is an error in strict mode and
+// is cleared (and counted) in salvage mode.
+func (d *rankDecoder) sample() (Sample, bool) {
+	r := &d.r
+	if !r.poll() {
+		return Sample{}, false
+	}
+	d.prev += sim.Time(r.uvarint())
+	sid := callstack.StackID(r.varint())
+	if ids := d.cr.stackIDs; sid != callstack.NoStack && r.err == nil {
+		if sid < 0 || int(sid) >= len(ids) {
+			if !d.cr.opt.Salvage {
+				r.err = fmt.Errorf("%w: sample references stack %d of %d", ErrCorrupt, sid, len(ids))
+				return Sample{}, false
+			}
+			d.dangling++
+			sid = callstack.NoStack
+		} else {
+			sid = ids[sid]
+		}
+	}
+	s := Sample{
+		Time:     d.prev,
+		Rank:     int32(d.rank),
+		Stack:    sid,
+		Group:    uint8(r.uvarint()),
+		Counters: r.counterSet(),
+	}
+	return s, r.err == nil
+}
+
+// salvageLog is the salvage bookkeeping of one read: the first damage
+// absorbed and the stack references cleared.
+type salvageLog struct {
+	salvage  bool
+	damage   error
+	dangling int
+}
+
+// absorb classifies a decode error and returns it when it must end the
+// read: always in strict mode, and for cancellation, which says nothing
+// about the input. In salvage mode it records the first damage instead and
+// returns nil.
+func (l *salvageLog) absorb(err error) error {
 	err = classifyRead(err)
-	if !cr.opt.Salvage || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	if err == nil || !l.salvage || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return err
+	}
+	if l.damage == nil {
+		l.damage = err
+	}
+	return nil
+}
+
+// finish assembles the SalvageReport from what survived in each rank plus
+// the repairs made on top of the read. A damaged read that kept no record
+// at all also returns an error; a stream that legitimately encodes no
+// records is not a failure.
+func (l *salvageLog) finish(counts []recordCount, repairs []Problem) (*SalvageReport, error) {
+	rep := &SalvageReport{Err: l.damage}
+	if l.dangling > 0 {
+		rep.Problems = append(rep.Problems, Problem{
+			Rank: -1, Kind: ProblemDanglingStack, Count: l.dangling,
+			Detail: "samples referencing undefined stacks cleared",
+		})
+	}
+	rep.Problems = append(rep.Problems, repairs...)
+	for _, n := range counts {
+		rep.Events += n.events
+		rep.Samples += n.samples
+		if rep.Err != nil && n.events+n.samples == 0 {
+			rep.RanksLost++
+		}
+	}
+	if rep.Err != nil && rep.Events == 0 && rep.Samples == 0 {
+		return rep, fmt.Errorf("nothing salvageable: %w", rep.Err)
+	}
+	return rep, nil
+}
+
+// fail handles damage in the streamed read: strict mode (or cancellation)
+// returns the classified error; salvage mode records the first damage and
+// skips to the next rank section when this one can be drained whole.
+func (cr *ChunkReader) fail(err error) error {
+	if err := cr.log.absorb(err); err != nil {
 		cr.done = true
 		return err
 	}
-	if cr.damage == nil {
-		cr.damage = err
-	}
-	if cr.sectioned && cr.started {
+	if cr.cur != nil {
 		// The section length prefix bounds the damage: drain the rest of
-		// this rank's section and move on, like the batch decoder's
-		// per-section isolation.
-		if _, derr := io.Copy(io.Discard, cr.secBuf); derr == nil && cr.section.N == 0 {
-			cr.rank++
-			cr.started = false
+		// this rank's section and move on.
+		_, derr := io.Copy(io.Discard, cr.secBuf)
+		cr.endSection()
+		if derr == nil && cr.section.N == 0 {
 			return nil
 		}
 	}
-	// Unframed ("PFT1") damage, a short section, or a stream-level error:
-	// nothing after this point is decodable.
-	cr.done = true
+	// A short section or a stream-level error: nothing after this point is
+	// decodable.
+	cr.rank = cr.nRanks
 	return nil
 }
 
-// startRank prepares decoding of the current rank: for the sectioned
-// container it reads the length prefix and bounds the section reader.
-func (cr *ChunkReader) startRank() error {
-	if cr.sectioned {
-		hr := &reader{r: cr.outer, ctx: cr.ctx}
-		n := hr.uvarint()
-		if hr.err != nil {
-			return cr.fail(hr.err)
-		}
-		if n > maxSectionBytes {
-			return cr.fail(fmt.Errorf("%w: rank %d section claims %d bytes, exceeds sanity limit %d",
-				ErrCorrupt, cr.rank, n, uint64(maxSectionBytes)))
-		}
-		cr.section.N = int64(n)
-		cr.secBuf.Reset(cr.section)
-		cr.rr = &reader{r: cr.secBuf, ctx: cr.ctx}
-	}
-	cr.started = true
-	cr.phase = 0
-	return nil
-}
-
-// endRank verifies the section framing after the last sample: leftover bytes
-// mean the length prefix and the content disagree.
-func (cr *ChunkReader) endRank() error {
-	if cr.sectioned {
-		if rest := int64(cr.secBuf.Buffered()) + cr.section.N; rest > 0 {
-			return cr.fail(fmt.Errorf("%w: rank %d section carries %d trailing bytes", ErrCorrupt, cr.rank, rest))
-		}
-	}
+// endSection closes the current rank's record loop and moves to the next.
+func (cr *ChunkReader) endSection() {
+	cr.log.dangling += cr.cur.dangling
+	cr.cur = nil
 	cr.rank++
-	cr.started = false
-	return nil
 }
 
 // Next decodes up to limit records (limit <= 0 means 4096) of the current
@@ -225,84 +457,41 @@ func (cr *ChunkReader) Next(limit int) (Chunk, error) {
 	for {
 		if cr.done || cr.rank >= cr.nRanks {
 			cr.done = true
-			if cr.damage != nil && cr.events == 0 && cr.samples == 0 {
-				return Chunk{}, fmt.Errorf("nothing salvageable: %w", cr.damage)
+			if _, err := cr.log.finish(cr.counts, nil); err != nil {
+				return Chunk{}, err
 			}
 			return Chunk{}, io.EOF
 		}
-		if !cr.started {
-			if err := cr.startRank(); err != nil {
-				return Chunk{}, err
+		if cr.cur == nil {
+			n, err := cr.sectionLen()
+			if err != nil {
+				if err := cr.fail(err); err != nil {
+					return Chunk{}, err
+				}
+				continue
 			}
-			continue
+			if cr.section == nil {
+				cr.section = &io.LimitedReader{R: cr.outer}
+				cr.secBuf = bufio.NewReaderSize(cr.section, 1<<12)
+			}
+			cr.section.N = n
+			cr.secBuf.Reset(cr.section)
+			cr.cur = &rankDecoder{r: reader{r: cr.secBuf, ctx: cr.ctx}, cr: cr, rank: cr.rank}
 		}
 		c := Chunk{Rank: cr.rank}
-		if err := cr.decodeInto(&c, limit); err != nil {
-			return Chunk{}, err
+		finished, err := cr.cur.next(&c, limit)
+		if err != nil {
+			if err := cr.fail(err); err != nil {
+				return Chunk{}, err
+			}
+		} else if finished {
+			cr.endSection()
 		}
 		if c.Records() > 0 {
-			cr.emitted[c.Rank] = true
-			cr.events += len(c.Events)
-			cr.samples += len(c.Samples)
+			cr.counts[c.Rank].events += len(c.Events)
+			cr.counts[c.Rank].samples += len(c.Samples)
 			return c, nil
 		}
 		// The rank carried no records, or damage ate the remainder; advance.
 	}
-}
-
-// decodeInto fills c with up to limit records of the current rank, advancing
-// the phase machine. It stops early at the rank boundary.
-func (cr *ChunkReader) decodeInto(c *Chunk, limit int) error {
-	r := cr.rr
-	for limit > 0 {
-		switch cr.phase {
-		case 0: // event count
-			cr.left = r.count("event", maxDecodeCount)
-			if r.err != nil {
-				return cr.fail(r.err)
-			}
-			cr.prev = 0
-			cr.phase = 1
-		case 1: // events
-			for cr.left > 0 && limit > 0 {
-				if !r.poll() {
-					return cr.fail(r.err)
-				}
-				e, ok := decodeEvent(r, int32(cr.rank), &cr.prev)
-				if !ok {
-					return cr.fail(r.err)
-				}
-				c.Events = append(c.Events, e)
-				cr.left--
-				limit--
-			}
-			if cr.left > 0 {
-				return nil // chunk full
-			}
-			cr.left = r.count("sample", maxDecodeCount)
-			if r.err != nil {
-				return cr.fail(r.err)
-			}
-			cr.prev = 0
-			cr.phase = 2
-		case 2: // samples
-			for cr.left > 0 && limit > 0 {
-				if !r.poll() {
-					return cr.fail(r.err)
-				}
-				s, ok := decodeSample(r, int32(cr.rank), &cr.prev, cr.stackIDs, cr.opt.Salvage, &cr.dangling)
-				if !ok {
-					return cr.fail(r.err)
-				}
-				c.Samples = append(c.Samples, s)
-				cr.left--
-				limit--
-			}
-			if cr.left > 0 {
-				return nil // chunk full
-			}
-			return cr.endRank()
-		}
-	}
-	return nil
 }

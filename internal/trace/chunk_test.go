@@ -31,14 +31,14 @@ func drainChunks(t *testing.T, cr *ChunkReader, limit int) (events [][]Event, sa
 }
 
 // Chunked decoding at any limit must reproduce the batch decoder's records
-// bit for bit, for both container versions.
+// bit for bit.
 func TestChunkReaderMatchesBatch(t *testing.T) {
 	tr := randomTrace(t, 21, 5, 30)
 	var v2 bytes.Buffer
 	if err := Encode(&v2, tr); err != nil {
 		t.Fatal(err)
 	}
-	encodings := map[string][]byte{"v2": v2.Bytes(), "v1": encodeV1(t, tr)}
+	encodings := map[string][]byte{"v2": v2.Bytes()}
 	for name, raw := range encodings {
 		for _, limit := range []int{1, 7, 100, 1 << 20} {
 			cr, err := NewChunkReader(context.Background(), bytes.NewReader(raw), DecodeOptions{})
@@ -162,26 +162,5 @@ func TestChunkReaderCancellation(t *testing.T) {
 		if i > 4 {
 			t.Fatal("cancellation not observed within a few chunks")
 		}
-	}
-}
-
-// The legacy unframed container cannot isolate damage: salvage keeps the
-// prefix before the damage point and loses everything after.
-func TestChunkReaderSalvageV1(t *testing.T) {
-	tr := randomTrace(t, 13, 3, 20)
-	raw := encodeV1(t, tr)
-	cut := raw[:len(raw)*3/4]
-	cr, err := NewChunkReader(context.Background(), bytes.NewReader(cut), DecodeOptions{Salvage: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	events, _ := drainChunks(t, cr, 32)
-	rep := cr.Report()
-	if rep == nil || rep.Err == nil {
-		t.Fatalf("v1 truncation not reported: %+v", rep)
-	}
-	if len(events[0]) != len(tr.Ranks[0].Events) {
-		t.Fatalf("rank 0 should predate the cut: got %d of %d events",
-			len(events[0]), len(tr.Ranks[0].Events))
 	}
 }

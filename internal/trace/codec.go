@@ -5,14 +5,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"sync"
 	"time"
 
-	"phasefold/internal/callstack"
 	"phasefold/internal/counters"
 	"phasefold/internal/exec"
 	"phasefold/internal/obs"
@@ -34,17 +33,15 @@ import (
 // The per-rank byte-length prefix is what makes the container parallel:
 // sections are sliced off the stream sequentially (I/O is one pipe) but
 // decoded concurrently, each into its own rank slot, so the merged trace is
-// identical at any worker count. The legacy "PFT1" layout — same header,
-// rank bodies concatenated with no length prefixes — still decodes, on a
-// single-goroutine path, because existing files and the fuzz corpus carry it.
+// identical at any worker count. It also bounds damage: a salvage read skips
+// a corrupt section and decodes the ranks after it. One parser reads the
+// container — ChunkReader, in chunk.go — and Decode drives it section by
+// section. The retired unframed "PFT1" layout is rejected as bad magic.
 //
 // Counter snapshots are encoded as a presence bitmap plus varint values so
 // multiplexed traces (mostly-Missing sets) stay small.
 
-const (
-	binaryMagic   = "PFT1" // legacy: one sequential varint stream
-	binaryMagicV2 = "PFT2" // current: length-prefixed per-rank sections
-)
+const binaryMagic = "PFT2"
 
 type stringWriter interface {
 	io.Writer
@@ -131,7 +128,7 @@ func putSectionBuf(b *bytes.Buffer) {
 func Encode(w io.Writer, t *Trace) error {
 	out := bufio.NewWriterSize(w, 1<<16)
 	bw := &writer{w: out}
-	if _, err := out.WriteString(binaryMagicV2); err != nil {
+	if _, err := out.WriteString(binaryMagic); err != nil {
 		return err
 	}
 	encodeHeader(bw, t)
@@ -151,8 +148,7 @@ func Encode(w io.Writer, t *Trace) error {
 }
 
 // encodeHeader writes everything up to the rank sections: app name, symbol
-// table, stack table, and the rank count. The header is byte-identical
-// between the "PFT1" and "PFT2" layouts; only what follows differs.
+// table, stack table, and the rank count.
 func encodeHeader(bw *writer, t *Trace) {
 	bw.str(t.AppName)
 	routines := t.Symbols.Routines()
@@ -326,11 +322,11 @@ type DecodeOptions struct {
 	// must still decode — without it the records are uninterpretable.
 	Salvage bool
 	// Exec composes the execution knobs shared with the analysis stages.
-	// The decoder consumes Parallelism — the goroutine cap for per-rank
-	// sections of the current ("PFT2") container; zero or negative means
-	// runtime.GOMAXPROCS(0), legacy single-stream ("PFT1") input decodes on
-	// one goroutine regardless, and the decoded trace (and in salvage mode
-	// the report) is identical at any setting. Budget rides along for
+	// Decode consumes Parallelism — the goroutine cap for decoding rank
+	// sections; zero or negative means runtime.GOMAXPROCS(0), and the
+	// decoded trace (and in salvage mode the report) is identical at any
+	// setting. ChunkReader and DecodeText read on one goroutine and ignore
+	// it. Budget rides along for
 	// callers composing one struct; the decoder does not enforce it. The
 	// fields are promoted, so opt.Parallelism keeps working; only composite
 	// literals need the Exec wrapper.
@@ -370,13 +366,14 @@ func (sr *SalvageReport) Summary() string {
 	return s
 }
 
-// Decode reads a binary-format trace from rd under ctx and opt. It accepts
-// both the current "PFT2" container (per-rank sections decoded concurrently,
-// opt.Parallelism workers) and the legacy "PFT1" stream; either way the
-// result is deterministic. The SalvageReport is non-nil exactly when
-// opt.Salvage is set and any records were recovered; errors wrap the package
-// sentinels (ErrBadMagic, ErrTruncated, ErrCorrupt, ErrNoRanks, ErrInvalid —
-// all matching ErrFormat) for errors.Is dispatch.
+// Decode reads a binary-format trace from rd under ctx and opt. It drives
+// ChunkReader's parser: the rank sections are sliced off the stream in
+// order into pooled buffers and drained concurrently by the same record
+// loop, opt.Parallelism workers, each into its own rank slot, so the result
+// is deterministic. The SalvageReport is non-nil exactly when opt.Salvage is
+// set and any records were recovered; errors wrap the package sentinels
+// (ErrBadMagic, ErrTruncated, ErrCorrupt, ErrNoRanks, ErrInvalid — all
+// matching ErrFormat) for errors.Is dispatch.
 //
 // The record loops poll ctx every few thousand records, so a deadline or
 // cancellation interrupts even a multi-gigabyte stream promptly; the
@@ -390,238 +387,53 @@ func Decode(ctx context.Context, rd io.Reader, opt DecodeOptions) (*Trace, *Salv
 	}
 	ctx, span := obs.StartSpan(ctx, "decode")
 	defer span.End()
-	cr := &countingReader{r: rd}
-	finish := startDecodePass(ctx, span, "binary", opt, cr)
-	r := &reader{r: bufio.NewReaderSize(cr, 1<<16), ctx: ctx}
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(r.r, magic); err != nil {
-		return nil, nil, fmt.Errorf("reading magic: %w", classifyRead(err))
-	}
-	var sectioned bool
-	switch string(magic) {
-	case binaryMagic:
-	case binaryMagicV2:
-		sectioned = true
-	default:
-		return nil, nil, fmt.Errorf("%w: %q", ErrBadMagic, magic)
-	}
-	app, syms, stacks, stackIDs, nRanks, err := decodeHeader(r)
+	counted := &countingReader{r: rd}
+	finish := startDecodePass(ctx, span, "binary", opt, counted)
+	cr, err := NewChunkReader(ctx, counted, opt)
 	if err != nil {
 		return nil, nil, err
 	}
-	t, err := NewChecked(app, nRanks, syms, stacks)
+	t, err := cr.Skeleton()
 	if err != nil {
 		return nil, nil, err
 	}
-	if sectioned {
-		return decodeRankSections(ctx, r, t, stackIDs, opt, finish)
-	}
-	// Legacy stream: rank bodies are back to back with no framing, so the
-	// only possible decode order is sequential.
-	danglingStacks := 0
-	for rank := 0; rank < nRanks && r.err == nil; rank++ {
-		danglingStacks += decodeRankBody(r, t.Ranks[rank], rank, stackIDs, opt)
-	}
-	return sealDecode(t, r.err, danglingStacks, opt, finish)
-}
-
-// decodeHeader reads everything up to the rank sections: app name, symbol
-// table, stack table, and the rank count. Header damage is never
-// salvageable — the tables interpret every record downstream.
-func decodeHeader(r *reader) (app string, syms *callstack.SymbolTable, stacks *callstack.Interner, stackIDs []callstack.StackID, nRanks int, err error) {
-	app = r.str()
-	syms = callstack.NewSymbolTable()
-	nRoutines := r.count("routine", maxTableCount)
-	for i := 0; i < nRoutines && r.poll(); i++ {
-		rt := callstack.Routine{
-			Name:      r.str(),
-			File:      r.str(),
-			StartLine: int(r.uvarint()),
-			EndLine:   int(r.uvarint()),
-		}
-		if r.err == nil {
-			// Define panics on malformed routines (a programming error
-			// in-process); from the wire, malformation is corruption.
-			if cerr := rt.Check(); cerr != nil {
-				r.err = fmt.Errorf("%w: routine %d: %v", ErrCorrupt, i, cerr)
-				break
-			}
-			syms.Define(rt)
-		}
-	}
-	stacks = callstack.NewInterner()
-	nStacks := r.count("stack", maxTableCount)
-	stackIDs = make([]callstack.StackID, 0, min(nStacks, 1<<16))
-	for i := 0; i < nStacks && r.poll(); i++ {
-		nf := r.count("frame", maxStackFrames)
-		if r.err != nil {
-			break
-		}
-		st := make(callstack.Stack, 0, min(nf, 64))
-		for j := 0; j < nf && r.err == nil; j++ {
-			st = append(st, callstack.Frame{
-				Routine: callstack.RoutineID(r.varint()),
-				Line:    int(r.uvarint()),
-			})
-		}
-		if r.err != nil {
-			break
-		}
-		stackIDs = append(stackIDs, stacks.Intern(st))
-	}
-	nRanks = r.count("rank", maxTableCount)
-	if r.err != nil {
-		return app, syms, stacks, stackIDs, 0, classifyRead(r.err)
-	}
-	if nRanks == 0 {
-		return app, syms, stacks, stackIDs, 0, fmt.Errorf("%w: decoded trace has no ranks", ErrNoRanks)
-	}
-	return app, syms, stacks, stackIDs, nRanks, nil
-}
-
-// decodeEvent reads one event record. ok is false on a reader error; the
-// partially-read record must then be discarded by the caller.
-func decodeEvent(r *reader, rank int32, prev *sim.Time) (Event, bool) {
-	*prev += sim.Time(r.uvarint())
-	e := Event{
-		Time:     *prev,
-		Rank:     rank,
-		Type:     EventType(r.uvarint()),
-		Value:    r.varint(),
-		Group:    uint8(r.uvarint()),
-		Counters: r.counterSet(),
-	}
-	return e, r.err == nil
-}
-
-// decodeSample reads one sample record, mapping its stack reference through
-// stackIDs. A dangling reference is an error in strict mode and is cleared
-// (counted via dangling) in salvage mode. ok is false on a reader error.
-func decodeSample(r *reader, rank int32, prev *sim.Time, stackIDs []callstack.StackID, salvage bool, dangling *int) (Sample, bool) {
-	*prev += sim.Time(r.uvarint())
-	sid := callstack.StackID(r.varint())
-	if sid != callstack.NoStack && r.err == nil {
-		if sid < 0 || int(sid) >= len(stackIDs) {
-			if !salvage {
-				r.err = fmt.Errorf("%w: sample references stack %d of %d", ErrCorrupt, sid, len(stackIDs))
-				return Sample{}, false
-			}
-			*dangling++
-			sid = callstack.NoStack
-		} else {
-			sid = stackIDs[sid]
-		}
-	}
-	s := Sample{
-		Time:     *prev,
-		Rank:     rank,
-		Stack:    sid,
-		Group:    uint8(r.uvarint()),
-		Counters: r.counterSet(),
-	}
-	return s, r.err == nil
-}
-
-// decodeRankBody decodes one rank's events and samples from r into rd and
-// returns how many dangling stack references it cleared (salvage mode only;
-// strict mode records them as r.err instead). On error the records decoded
-// before the damage stay in rd — that prefix is exactly what salvage keeps.
-func decodeRankBody(r *reader, rd *RankData, rank int, stackIDs []callstack.StackID, opt DecodeOptions) (danglingStacks int) {
-	nev := r.count("event", maxDecodeCount)
-	rd.Events = make([]Event, 0, min(nev, 1<<20))
-	var prev sim.Time
-	for i := 0; i < nev && r.poll(); i++ {
-		e, ok := decodeEvent(r, int32(rank), &prev)
-		if !ok {
-			break // discard the partially-read record
-		}
-		rd.Events = append(rd.Events, e)
-	}
-	nsmp := r.count("sample", maxDecodeCount)
-	rd.Samples = make([]Sample, 0, min(nsmp, 1<<20))
-	prev = 0
-	for i := 0; i < nsmp && r.poll(); i++ {
-		s, ok := decodeSample(r, int32(rank), &prev, stackIDs, opt.Salvage, &danglingStacks)
-		if !ok {
-			break
-		}
-		rd.Samples = append(rd.Samples, s)
-	}
-	return danglingStacks
-}
-
-// decodeRankSections is the "PFT2" record path: slice the length-prefixed
-// sections off the stream in rank order (the stream is one pipe — I/O stays
-// sequential), then decode them concurrently, each worker writing only its
-// claimed rank's slot. Slot indexing plus a fixed error-precedence scan make
-// the result byte-identical to a serial decode.
-func decodeRankSections(ctx context.Context, r *reader, t *Trace, stackIDs []callstack.StackID, opt DecodeOptions, finish func(*Trace, *SalvageReport)) (*Trace, *SalvageReport, error) {
-	nRanks := len(t.Ranks)
-	bufs := make([]*bytes.Buffer, nRanks)
+	// Slice the sections off the stream in rank order (the stream is one
+	// pipe — I/O stays sequential) until the ranks or the stream run out.
+	bufs := make([]*bytes.Buffer, 0, len(t.Ranks))
+	missing := make([]int64, 0, len(t.Ranks))
 	defer func() {
 		for _, b := range bufs {
 			putSectionBuf(b)
 		}
 	}()
 	var streamErr error
-	loaded := 0 // sections actually sliced off the stream (prefix of ranks)
-	for rank := 0; rank < nRanks; rank++ {
+	for len(bufs) < len(t.Ranks) && streamErr == nil {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		n := r.uvarint()
-		if r.err != nil {
-			streamErr = r.err
-			break
+		buf, miss, err := cr.sliceSection()
+		if buf != nil {
+			bufs, missing = append(bufs, buf), append(missing, miss)
 		}
-		if n > maxSectionBytes {
-			streamErr = fmt.Errorf("%w: rank %d section claims %d bytes, exceeds sanity limit %d",
-				ErrCorrupt, rank, n, uint64(maxSectionBytes))
-			break
-		}
-		buf := getSectionBuf()
-		bufs[rank] = buf
-		// Grow only as bytes actually arrive: a hostile length prefix must
-		// not turn into an up-front allocation.
-		m, err := buf.ReadFrom(io.LimitReader(r.r, int64(n)))
-		loaded = rank + 1
-		if err != nil {
-			streamErr = err
-			break
-		}
-		if m < int64(n) {
-			// The stream ended inside this section; its prefix still
-			// decodes below, which is what salvage keeps.
-			streamErr = io.ErrUnexpectedEOF
-			break
-		}
-	}
-	workers := par.N(opt.Parallelism)
-	if workers > loaded {
-		workers = loaded
+		streamErr = err
 	}
 	// One child span per worker, not per rank: a million-rank trace must
 	// not allocate a million spans. Each worker owns its span exclusively.
-	wctxs := make([]context.Context, max(workers, 1))
+	workers := min(par.N(opt.Parallelism), len(bufs))
 	wspans := make([]*obs.Span, max(workers, 1))
-	for w := range wctxs {
-		wctxs[w], wspans[w] = obs.StartSpan(ctx, fmt.Sprintf("decode_worker_%d", w))
+	for w := range wspans {
+		_, wspans[w] = obs.StartSpan(ctx, fmt.Sprintf("decode_worker_%d", w))
 	}
-	rankErrs := make([]error, nRanks)
-	rankDangling := make([]int, nRanks)
-	par.ForEach(workers, loaded, func(worker, rank int) {
-		br := bytes.NewReader(bufs[rank].Bytes())
-		rr := &reader{r: br, ctx: wctxs[worker]}
-		rankDangling[rank] = decodeRankBody(rr, t.Ranks[rank], rank, stackIDs, opt)
-		if rr.err == nil && br.Len() > 0 {
-			// The section framing promised more bytes than the records
-			// consumed: the length prefix and the content disagree.
-			rr.err = fmt.Errorf("%w: rank %d section carries %d trailing bytes",
-				ErrCorrupt, rank, br.Len())
-		}
-		rankErrs[rank] = rr.err
+	rankErrs := make([]error, len(bufs))
+	dangling := make([]int, len(bufs))
+	par.ForEach(workers, len(bufs), func(worker, rank int) {
+		d := cr.sectionDecoder(rank, bufs[rank], missing[rank])
+		c := Chunk{Rank: rank}
+		_, rankErrs[rank] = d.next(&c, math.MaxInt)
+		t.Ranks[rank].Events, t.Ranks[rank].Samples = c.Events, c.Samples
+		dangling[rank] = d.dangling
 		wspans[worker].AddInt("ranks", 1)
-		wspans[worker].AddInt("records", int64(len(t.Ranks[rank].Events)+len(t.Ranks[rank].Samples)))
+		wspans[worker].AddInt("records", int64(c.Records()))
 	})
 	for _, s := range wspans {
 		s.End()
@@ -632,27 +444,15 @@ func decodeRankSections(ctx context.Context, r *reader, t *Trace, stackIDs []cal
 	// Fixed error precedence keeps strict-mode failures deterministic:
 	// the lowest-rank section error wins, then any stream-level one.
 	decodeErr := streamErr
-	for rank := 0; rank < loaded; rank++ {
-		if rankErrs[rank] != nil {
-			decodeErr = rankErrs[rank]
+	for _, err := range rankErrs {
+		if err != nil {
+			decodeErr = err
 			break
 		}
 	}
-	danglingStacks := 0
-	for _, d := range rankDangling {
-		danglingStacks += d
-	}
-	return sealDecode(t, decodeErr, danglingStacks, opt, finish)
-}
-
-// sealDecode finishes a decode whose records are in place: strict mode
-// validates and returns, salvage mode repairs what was recovered and
-// reports. decodeErr is the first damage hit while decoding records (nil
-// for a clean stream).
-func sealDecode(t *Trace, decodeErr error, danglingStacks int, opt DecodeOptions, finish func(*Trace, *SalvageReport)) (*Trace, *SalvageReport, error) {
-	if decodeErr != nil && (!opt.Salvage ||
-		errors.Is(decodeErr, context.Canceled) || errors.Is(decodeErr, context.DeadlineExceeded)) {
-		return nil, nil, classifyRead(decodeErr)
+	log := &cr.log
+	if err := log.absorb(decodeErr); err != nil {
+		return nil, nil, err
 	}
 	if !opt.Salvage {
 		if err := t.Validate(); err != nil {
@@ -661,32 +461,17 @@ func sealDecode(t *Trace, decodeErr error, danglingStacks int, opt DecodeOptions
 		finish(t, nil)
 		return t, nil, nil
 	}
-
-	// Salvage path: keep what was recovered, repair it, and report.
-	report := &SalvageReport{Err: classifyRead(decodeErr)}
-	if danglingStacks > 0 {
-		report.Problems = append(report.Problems, Problem{
-			Rank: -1, Kind: ProblemDanglingStack, Count: danglingStacks,
-			Detail: "samples referencing undefined stacks cleared",
-		})
+	// Salvage: keep what was recovered, repair it, and report.
+	for _, d := range dangling {
+		log.dangling += d
 	}
-	report.Problems = append(report.Problems, t.Sanitize()...)
-	for _, rd := range t.Ranks {
-		report.Events += len(rd.Events)
-		report.Samples += len(rd.Samples)
+	repairs := t.Sanitize()
+	for i, rd := range t.Ranks {
+		cr.counts[i] = recordCount{len(rd.Events), len(rd.Samples)}
 	}
-	if report.Err != nil {
-		for _, rd := range t.Ranks {
-			if len(rd.Events) == 0 && len(rd.Samples) == 0 {
-				report.RanksLost++
-			}
-		}
-	}
-	if report.Err != nil && report.Events == 0 && report.Samples == 0 {
-		// A record-free trace is only a failure when damage ate the records;
-		// a file that legitimately encodes no records decodes fine strictly
-		// and must decode fine here too.
-		return nil, nil, fmt.Errorf("nothing salvageable: %w", report.Err)
+	report, err := log.finish(cr.counts, repairs)
+	if err != nil {
+		return nil, nil, err
 	}
 	if err := t.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("salvaged trace still invalid: %w", err)
@@ -696,8 +481,8 @@ func sealDecode(t *Trace, decodeErr error, danglingStacks int, opt DecodeOptions
 }
 
 // countingReader counts the bytes pulled through an io.Reader so the decode
-// span can report throughput. Single-goroutine by construction: both decoders
-// read sequentially from the wrapped source.
+// span can report throughput. Single-goroutine by construction: the binary
+// and text decoders read their source sequentially.
 type countingReader struct {
 	r io.Reader
 	n int64

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -126,8 +127,14 @@ func TestBinaryRoundtripManySeeds(t *testing.T) {
 }
 
 func TestDecodeRejectsBadMagic(t *testing.T) {
-	if _, _, err := Decode(context.Background(), strings.NewReader("NOPE...."), DecodeOptions{}); err == nil {
-		t.Fatal("bad magic accepted")
+	for _, in := range []string{"NOPE....", "PFT1\x00\x01\x00\x00\x00\x00"} {
+		_, _, err := Decode(context.Background(), strings.NewReader(in), DecodeOptions{})
+		if !errors.Is(err, ErrBadMagic) {
+			t.Fatalf("%q: got %v, want ErrBadMagic", in, err)
+		}
+		if strings.HasPrefix(in, "PFT1") && !strings.Contains(err.Error(), "retired") {
+			t.Fatalf("%q: error %q does not name the retired layout", in, err)
+		}
 	}
 }
 

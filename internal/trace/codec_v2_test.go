@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -10,28 +11,8 @@ import (
 )
 
 // These tests pin the "PFT2" sectioned container: parallel decode must be
-// indistinguishable from serial, the legacy "PFT1" layout must keep
-// decoding, and section framing must fail loudly when it lies.
-
-// encodeV1 renders t in the legacy "PFT1" layout — same header, rank bodies
-// concatenated with no length prefixes — so the single-goroutine decode path
-// stays covered even as tools only ever write "PFT2" now.
-func encodeV1(t *testing.T, tr *Trace) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	buf.WriteString(binaryMagic)
-	bw := &writer{w: &buf}
-	encodeHeader(bw, tr)
-	for _, rd := range tr.Ranks {
-		sec := encodeRankSection(rd)
-		bw.bytes(sec.Bytes())
-		putSectionBuf(sec)
-	}
-	if bw.err != nil {
-		t.Fatalf("encodeV1: %v", bw.err)
-	}
-	return buf.Bytes()
-}
+// indistinguishable from serial, and section framing must fail loudly when
+// it lies.
 
 func TestDecodeParallelMatchesSerial(t *testing.T) {
 	tr := randomTrace(t, 7, 6, 40)
@@ -47,16 +28,6 @@ func TestDecodeParallelMatchesSerial(t *testing.T) {
 		}
 		equalTraces(t, tr, got)
 	}
-}
-
-func TestDecodeLegacyV1(t *testing.T) {
-	tr := randomTrace(t, 11, 3, 20)
-	raw := encodeV1(t, tr)
-	got, _, err := Decode(context.Background(), bytes.NewReader(raw), DecodeOptions{Exec: exec.Exec{Parallelism: 4}})
-	if err != nil {
-		t.Fatalf("legacy decode: %v", err)
-	}
-	equalTraces(t, tr, got)
 }
 
 // A byte of damage inside one rank's section must not take down the other
@@ -139,4 +110,42 @@ func uvarintLen(v uint64) int {
 		n++
 	}
 	return n
+}
+
+// A length prefix that claims more bytes than the stream still holds is
+// truncation even when the records it does hold decode whole: both readers
+// must say ErrTruncated, not mistake the missing tail for trailing bytes.
+func TestSectionLongerThanStreamIsTruncation(t *testing.T) {
+	tr := randomTrace(t, 3, 2, 30)
+	var buf bytes.Buffer
+	if err := Encode(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	sec1 := encodeRankSection(tr.Ranks[1])
+	l1 := sec1.Len()
+	putSectionBuf(sec1)
+	prefix := raw[len(raw)-l1-uvarintLen(uint64(l1)) : len(raw)-l1]
+	longer := binary.AppendUvarint(nil, uint64(l1+5))
+	if len(longer) != len(prefix) {
+		t.Fatalf("prefix width changed: %d -> %d bytes", len(prefix), len(longer))
+	}
+	copy(prefix, longer)
+
+	for _, p := range []int{1, 4} {
+		_, _, err := Decode(context.Background(), bytes.NewReader(raw), DecodeOptions{Exec: exec.Exec{Parallelism: p}})
+		if !errors.Is(err, ErrTruncated) {
+			t.Fatalf("Decode at parallelism %d: got %v, want ErrTruncated", p, err)
+		}
+	}
+	cr, err := NewChunkReader(context.Background(), bytes.NewReader(raw), DecodeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for err == nil {
+		_, err = cr.Next(7)
+	}
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("ChunkReader: got %v, want ErrTruncated", err)
+	}
 }

@@ -408,9 +408,10 @@ var (
 	ErrCanceled = context.Canceled
 )
 
-// Decode reads a binary-format trace — the sectioned "PFT2" container
-// (decoded rank-parallel under WithParallelism) or the legacy "PFT1"
-// layout. Cancellation is polled throughout and never absorbed by salvage.
+// Decode reads a binary-format trace — the sectioned "PFT2" container,
+// decoded rank-parallel under WithParallelism by the same parser Consume
+// streams through; the retired "PFT1" layout fails with ErrBadMagic.
+// Cancellation is polled throughout and never absorbed by salvage.
 // The SalvageReport is non-nil only under WithSalvage, which recovers what
 // a damaged stream still holds and reports the repairs instead of failing.
 func Decode(ctx context.Context, r io.Reader, opts ...Option) (*Trace, *SalvageReport, error) {
@@ -527,8 +528,8 @@ func (s *Session) Feed(c Chunk) error {
 	return inner.Feed(c)
 }
 
-// Consume streams a binary-format container ("PFT2" or legacy "PFT1") from
-// r, analyzing records chunk by chunk while bytes arrive — never holding
+// Consume streams a binary-format container ("PFT2") from r, analyzing
+// records chunk by chunk while bytes arrive — never holding
 // the decoded trace in memory. Under WithSalvage a damaged stream yields
 // what was recovered (see SalvageReport); otherwise the first damage fails
 // the session. Consume returns when the stream ends or the session fails.
