@@ -2,48 +2,13 @@ package export
 
 import (
 	"context"
-
 	"io"
+	"sync"
 	"testing"
 
 	"phasefold/internal/core"
+	"phasefold/internal/simapp"
 )
-
-// The benchmark pair mirrors the obs on/off pair: BenchmarkAnalyzeNoExport
-// is the pipeline alone, BenchmarkAnalyzeWithExports adds the full export
-// surface (view + all three formats). Exporting is strictly post-analysis,
-// so the "no export" run must not pay anything for the export layer's
-// existence; compare the two to see what exporting itself costs.
-func BenchmarkAnalyzeNoExport(b *testing.B) {
-	fixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Analyze(context.Background(), fixTrace, core.DefaultOptions()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAnalyzeWithExports(b *testing.B) {
-	fixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := core.Analyze(context.Background(), fixTrace, core.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		v := m.Export(fixTrace)
-		if err := WritePerfetto(io.Discard, v); err != nil {
-			b.Fatal(err)
-		}
-		if err := WriteFlamegraph(io.Discard, v, WeightTime); err != nil {
-			b.Fatal(err)
-		}
-		if err := WriteOpenMetrics(io.Discard, v); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkExportView isolates the view construction.
 func BenchmarkExportView(b *testing.B) {
@@ -53,5 +18,52 @@ func BenchmarkExportView(b *testing.B) {
 		if v := fixModel.Export(fixTrace); v == nil {
 			b.Fatal("nil view")
 		}
+	}
+}
+
+var (
+	renderOnce sync.Once
+	renderView *core.ExportView
+	renderErr  error
+)
+
+// BenchmarkRenderArtifacts times each artifact writer the daemon runs on a
+// miss, on one 4-rank × 100-iteration multiphase view.
+func BenchmarkRenderArtifacts(b *testing.B) {
+	renderOnce.Do(func() {
+		app, err := simapp.NewApp("multiphase")
+		if err != nil {
+			renderErr = err
+			return
+		}
+		m, run, err := core.AnalyzeApp(context.Background(), app, goldenConfig(1), core.DefaultOptions())
+		if err != nil {
+			renderErr = err
+			return
+		}
+		renderView = m.Export(run.Trace)
+	})
+	if renderErr != nil {
+		b.Fatal(renderErr)
+	}
+	v := renderView
+	writers := []struct {
+		name  string
+		write func(io.Writer, *core.ExportView) error
+	}{
+		{"perfetto", WritePerfetto},
+		{"flamegraph", func(w io.Writer, v *core.ExportView) error { return WriteFlamegraph(w, v, WeightTime) }},
+		{"openmetrics", WriteOpenMetrics},
+		{"snapshot_json", WriteSnapshotJSON},
+	}
+	for _, wr := range writers {
+		b.Run(wr.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := wr.write(io.Discard, v); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

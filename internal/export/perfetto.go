@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"math"
+	"slices"
+	"strconv"
+	"strings"
 
 	"phasefold/internal/core"
-	"phasefold/internal/sim"
 )
 
 // Perfetto pid/tid layout. Chrome trace-event viewers group events into
@@ -20,46 +22,33 @@ const (
 	pidDiagnostics = 4 // absorbed-fault instant events, tid = 0
 )
 
-// traceEvent is one Chrome trace-event record. Field order (and the struct
-// encoding) keeps the output deterministic for golden tests.
-type traceEvent struct {
-	Name string  `json:"name"`
-	Ph   string  `json:"ph"`
-	Ts   float64 `json:"ts"` // microseconds
-	Dur  float64 `json:"dur,omitempty"`
-	Pid  int     `json:"pid"`
-	Tid  int     `json:"tid"`
-	Cat  string  `json:"cat,omitempty"`
-	S    string  `json:"s,omitempty"` // instant-event scope
-	Args any     `json:"args,omitempty"`
+// eventKind says which view record an event renders and how.
+type eventKind uint8
+
+const (
+	evProcess eventKind = iota // process_name metadata
+	evThread                   // thread_name metadata
+	evBurst                    // one burst on its rank track; ref = burst
+	evPhase                    // a phase slice of a burst; ref = phase fragment
+	evFolded                   // a phase of a folded representative; ref = phase fragment
+	evRep                      // an unfitted folded representative; ref = cluster
+	evDiag                     // a diagnostic instant; ref = diagnostic
+)
+
+// event is one trace-event record reduced to its sort key and a reference
+// into the view; the JSON is rendered only after sorting.
+type event struct {
+	ts, dur float64 // microseconds
+	tid     int
+	pid     uint8
+	kind    eventKind
+	ref     int32 // what ref indexes depends on kind
 }
 
-// perfettoFile is the JSON object format of a Chrome/Perfetto trace.
-type perfettoFile struct {
-	DisplayTimeUnit string       `json:"displayTimeUnit"`
-	TraceEvents     []traceEvent `json:"traceEvents"`
-}
-
-func usec(t sim.Time) float64 { return float64(t) / 1e3 } // sim.Time is ns
-
-// metaEvent builds a process/thread naming metadata record.
-func metaEvent(kind string, pid, tid int, name string) traceEvent {
-	return traceEvent{
-		Name: kind, Ph: "M", Pid: pid, Tid: tid,
-		Args: struct {
-			Name string `json:"name"`
-		}{name},
-	}
-}
-
-// burstArgs annotates a burst or phase slice event.
-type burstArgs struct {
-	Cluster int    `json:"cluster"`
-	Region  int64  `json:"region"`
-	Iter    int64  `json:"iter,omitempty"`
-	Source  string `json:"source,omitempty"`
-	Share   string `json:"share,omitempty"`
-}
+// phaseFrag locates one (cluster, phase)'s pre-rendered JSON in the
+// fragment arena: the quoted name in [lo, mid) and the indented args
+// object in [mid, hi). Phase slices and folded phases share it.
+type phaseFrag struct{ lo, mid, hi int32 }
 
 // WritePerfetto renders the view as a Chrome trace-event / Perfetto JSON
 // timeline: per-rank burst tracks, per-rank reconstructed phase tracks
@@ -67,37 +56,73 @@ type burstArgs struct {
 // one synthetic folded-burst track per cluster, and the diagnostics as
 // instant events. Events within a track are sorted by timestamp and never
 // overlap; timestamps are microseconds and displayTimeUnit is "ms". The
-// output is deterministic for a given view.
+// output is deterministic for a given view, and byte-identical to
+// encoding/json's indented encoding of the same events. A NaN or infinite
+// timestamp or duration is an error, and nothing is written.
 func WritePerfetto(w io.Writer, v *core.ExportView) error {
-	file := perfettoFile{DisplayTimeUnit: "ms"}
-	ev := &file.TraceEvents
+	// Each (cluster, phase)'s name and args are the same on every burst of
+	// the cluster: render them once.
+	var arena []byte
+	fragBase := make([]int32, len(v.Clusters))
+	var frags []phaseFrag
+	phasesOf := make(map[int]int, len(v.Clusters)) // label → cluster index
+	for ci := range v.Clusters {
+		c := &v.Clusters[ci]
+		fragBase[ci] = int32(len(frags))
+		if len(c.Phases) > 0 {
+			phasesOf[c.Label] = ci
+		}
+		for pi := range c.Phases {
+			p := &c.Phases[pi]
+			f := phaseFrag{lo: int32(len(arena))}
+			if p.Source != "" {
+				arena = appendString(arena, p.Source)
+			} else {
+				arena = strconv.AppendInt(append(arena, `"phase `...), int64(p.Index), 10)
+				arena = append(arena, '"')
+			}
+			f.mid = int32(len(arena))
+			arena = appendArgsHead(arena, c.Label, c.Region)
+			if p.Source != "" {
+				arena = appendString(append(arena, ",\n    \"source\": "...), p.Source)
+			}
+			if p.Share > 0 {
+				arena = append(arena, ",\n    \"share\": \""...)
+				arena = fmt.Appendf(arena, "%.2f", p.Share)
+				arena = append(arena, '"')
+			}
+			arena = append(arena, "\n   }"...)
+			f.hi = int32(len(arena))
+			frags = append(frags, f)
+		}
+	}
+
+	evs := make([]event, 0, 6+2*max(v.Ranks, 0)+len(v.Clusters)+len(v.Bursts)+len(frags)+len(v.Diagnostics))
+	addSpan := func(kind eventKind, pid uint8, tid int, ts, dur float64, ref int32) error {
+		if !finite(ts) || !finite(dur) {
+			return fmt.Errorf("export: perfetto event at pid %d tid %d: unsupported value ts=%v dur=%v", pid, tid, ts, dur)
+		}
+		evs = append(evs, event{ts: ts, dur: dur, tid: tid, pid: pid, kind: kind, ref: ref})
+		return nil
+	}
 
 	// Process and thread naming metadata first, in pid/tid order.
-	*ev = append(*ev, metaEvent("process_name", pidRanks, 0, v.App+" ranks"))
+	evs = append(evs, event{pid: pidRanks, kind: evProcess})
 	for r := 0; r < v.Ranks; r++ {
-		*ev = append(*ev, metaEvent("thread_name", pidRanks, r, fmt.Sprintf("rank %d", r)))
+		evs = append(evs, event{pid: pidRanks, tid: r, kind: evThread})
 	}
-	*ev = append(*ev, metaEvent("process_name", pidPhases, 0, v.App+" phases"))
+	evs = append(evs, event{pid: pidPhases, kind: evProcess})
 	for r := 0; r < v.Ranks; r++ {
-		*ev = append(*ev, metaEvent("thread_name", pidPhases, r, fmt.Sprintf("rank %d phases", r)))
+		evs = append(evs, event{pid: pidPhases, tid: r, kind: evThread})
 	}
 	if len(v.Clusters) > 0 {
-		*ev = append(*ev, metaEvent("process_name", pidClusters, 0, v.App+" clusters (folded)"))
+		evs = append(evs, event{pid: pidClusters, kind: evProcess})
 		for _, c := range v.Clusters {
-			*ev = append(*ev, metaEvent("thread_name", pidClusters, c.Label,
-				fmt.Sprintf("cluster %d", c.Label)))
+			evs = append(evs, event{pid: pidClusters, tid: c.Label, kind: evThread})
 		}
 	}
 	if len(v.Diagnostics) > 0 {
-		*ev = append(*ev, metaEvent("process_name", pidDiagnostics, 0, v.App+" diagnostics"))
-	}
-
-	phasesOf := make(map[int]*core.ExportCluster, len(v.Clusters))
-	for i := range v.Clusters {
-		c := &v.Clusters[i]
-		if len(c.Phases) > 0 {
-			phasesOf[c.Label] = c
-		}
+		evs = append(evs, event{pid: pidDiagnostics, kind: evProcess})
 	}
 
 	// Per-rank burst events plus the reconstructed phase slices: a burst in
@@ -105,30 +130,22 @@ func WritePerfetto(w io.Writer, v *core.ExportView) error {
 	// scaled into the burst's own [start, end) interval.
 	for i := range v.Bursts {
 		b := &v.Bursts[i]
-		name := "noise"
-		if b.Cluster >= 0 {
-			name = fmt.Sprintf("cluster %d", b.Cluster)
+		if err := addSpan(evBurst, pidRanks, int(b.Rank), float64(b.Start)/1e3, float64(b.End-b.Start)/1e3, int32(i)); err != nil {
+			return err
 		}
-		*ev = append(*ev, traceEvent{
-			Name: name, Ph: "X", Ts: usec(b.Start), Dur: usec(b.End - b.Start),
-			Pid: pidRanks, Tid: int(b.Rank), Cat: "burst",
-			Args: burstArgs{Cluster: b.Cluster, Region: b.Region, Iter: b.Iter},
-		})
-		c, ok := phasesOf[b.Cluster]
+		ci, ok := phasesOf[b.Cluster]
 		if !ok {
 			continue
 		}
+		c := &v.Clusters[ci]
 		span := float64(b.End - b.Start)
 		for pi := range c.Phases {
 			p := &c.Phases[pi]
 			t0 := float64(b.Start) + p.X0*span
 			t1 := float64(b.Start) + p.X1*span
-			*ev = append(*ev, traceEvent{
-				Name: phaseName(p), Ph: "X",
-				Ts: t0 / 1e3, Dur: (t1 - t0) / 1e3,
-				Pid: pidPhases, Tid: int(b.Rank), Cat: "phase",
-				Args: phaseArgs(c, p),
-			})
+			if err := addSpan(evPhase, pidPhases, int(b.Rank), t0/1e3, (t1-t0)/1e3, fragBase[ci]+int32(pi)); err != nil {
+				return err
+			}
 		}
 	}
 
@@ -136,83 +153,214 @@ func WritePerfetto(w io.Writer, v *core.ExportView) error {
 	// from t=0. A fitted cluster is drawn as its phase subdivision; an
 	// unfitted one as a single representative slice. Either way the track
 	// stays non-overlapping.
-	for i := range v.Clusters {
-		c := &v.Clusters[i]
+	for ci := range v.Clusters {
+		c := &v.Clusters[ci]
 		if c.RepDuration <= 0 {
 			continue
 		}
 		if len(c.Phases) == 0 {
-			*ev = append(*ev, traceEvent{
-				Name: fmt.Sprintf("cluster %d representative", c.Label), Ph: "X",
-				Ts: 0, Dur: usec(c.RepDuration),
-				Pid: pidClusters, Tid: c.Label, Cat: "folded",
-				Args: burstArgs{Cluster: c.Label, Region: c.Region},
-			})
+			evs = append(evs, event{dur: float64(c.RepDuration) / 1e3, tid: c.Label, pid: pidClusters, kind: evRep, ref: int32(ci)})
 			continue
 		}
 		rep := float64(c.RepDuration)
 		for pi := range c.Phases {
 			p := &c.Phases[pi]
-			*ev = append(*ev, traceEvent{
-				Name: phaseName(p), Ph: "X",
-				Ts: p.X0 * rep / 1e3, Dur: (p.X1 - p.X0) * rep / 1e3,
-				Pid: pidClusters, Tid: c.Label, Cat: "folded",
-				Args: phaseArgs(c, p),
-			})
+			if err := addSpan(evFolded, pidClusters, c.Label, p.X0*rep/1e3, (p.X1-p.X0)*rep/1e3, fragBase[ci]+int32(pi)); err != nil {
+				return err
+			}
 		}
 	}
 
 	for i := range v.Diagnostics {
-		d := &v.Diagnostics[i]
-		*ev = append(*ev, traceEvent{
-			Name: d.Severity + ": " + d.Stage, Ph: "i", Ts: float64(i),
-			Pid: pidDiagnostics, Tid: 0, Cat: "diagnostic", S: "g",
-			Args: struct {
-				Message string `json:"message"`
-			}{d.Message},
-		})
+		evs = append(evs, event{ts: float64(i), pid: pidDiagnostics, kind: evDiag, ref: int32(i)})
 	}
 
-	sortEvents(file.TraceEvents)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(file)
+	sortEvents(evs)
+	return writeEvents(w, v, evs, arena, frags)
 }
 
-func phaseName(p *core.ExportPhase) string {
-	if p.Source != "" {
-		return p.Source
-	}
-	return fmt.Sprintf("phase %d", p.Index)
-}
-
-func phaseArgs(c *core.ExportCluster, p *core.ExportPhase) burstArgs {
-	a := burstArgs{Cluster: c.Label, Region: c.Region, Source: p.Source}
-	if p.Share > 0 {
-		a.Share = fmt.Sprintf("%.2f", p.Share)
-	}
-	return a
-}
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // sortEvents orders metadata first, then by (pid, tid, ts, dur descending)
 // so each track reads monotonically and enclosing events precede enclosed
-// ones — the layout trace viewers expect.
-func sortEvents(evs []traceEvent) {
-	sort.SliceStable(evs, func(i, j int) bool {
-		a, b := &evs[i], &evs[j]
-		am, bm := a.Ph == "M", b.Ph == "M"
-		if am != bm {
-			return am
+// ones — the layout trace viewers expect. The sort is stable, so events
+// that tie on every key keep their construction order.
+func sortEvents(evs []event) {
+	slices.SortStableFunc(evs, func(a, b event) int {
+		am, bm := a.kind <= evThread, b.kind <= evThread // metadata
+		switch {
+		case am != bm:
+			if am {
+				return -1
+			}
+			return 1
+		case a.pid != b.pid:
+			return int(a.pid) - int(b.pid)
+		case a.tid != b.tid:
+			if a.tid < b.tid {
+				return -1
+			}
+			return 1
+		case a.ts != b.ts:
+			if a.ts < b.ts {
+				return -1
+			}
+			return 1
+		case a.dur != b.dur:
+			if a.dur > b.dur {
+				return -1
+			}
+			return 1
 		}
-		if a.Pid != b.Pid {
-			return a.Pid < b.Pid
-		}
-		if a.Tid != b.Tid {
-			return a.Tid < b.Tid
-		}
-		if a.Ts != b.Ts {
-			return a.Ts < b.Ts
-		}
-		return a.Dur > b.Dur
+		return 0
 	})
+}
+
+// writeEvents renders the sorted events as the indented JSON document and
+// writes it in one call.
+func writeEvents(w io.Writer, v *core.ExportView, evs []event, arena []byte, frags []phaseFrag) error {
+	buf := make([]byte, 0, 64+len(evs)*perfettoEventBytes+len(arena))
+	buf = append(buf, "{\n \"displayTimeUnit\": \"ms\",\n \"traceEvents\": [\n"...)
+	for i := range evs {
+		e := &evs[i]
+		if i > 0 {
+			buf = append(buf, ",\n"...)
+		}
+		buf = append(buf, "  {\n   \"name\": "...)
+		ph := "X"
+		switch e.kind {
+		case evProcess:
+			buf = append(buf, `"process_name"`...)
+			ph = "M"
+		case evThread:
+			buf = append(buf, `"thread_name"`...)
+			ph = "M"
+		case evBurst:
+			if c := v.Bursts[e.ref].Cluster; c >= 0 {
+				buf = strconv.AppendInt(append(buf, `"cluster `...), int64(c), 10)
+				buf = append(buf, '"')
+			} else {
+				buf = append(buf, `"noise"`...)
+			}
+		case evPhase, evFolded:
+			f := frags[e.ref]
+			buf = append(buf, arena[f.lo:f.mid]...)
+		case evRep:
+			buf = strconv.AppendInt(append(buf, `"cluster `...), int64(v.Clusters[e.ref].Label), 10)
+			buf = append(buf, ` representative"`...)
+		case evDiag:
+			d := &v.Diagnostics[e.ref]
+			buf = appendString(buf, d.Severity, ": ", d.Stage)
+			ph = "i"
+		}
+		buf = append(buf, ",\n   \"ph\": \""...)
+		buf = append(buf, ph...)
+		buf = appendFloat(append(buf, "\",\n   \"ts\": "...), e.ts)
+		if e.dur != 0 {
+			buf = appendFloat(append(buf, ",\n   \"dur\": "...), e.dur)
+		}
+		buf = strconv.AppendInt(append(buf, ",\n   \"pid\": "...), int64(e.pid), 10)
+		buf = strconv.AppendInt(append(buf, ",\n   \"tid\": "...), int64(e.tid), 10)
+		switch e.kind {
+		case evProcess:
+			buf = append(buf, ",\n   \"args\": {\n    \"name\": "...)
+			buf = appendString(buf, v.App, processSuffix[e.pid])
+			buf = append(buf, "\n   }"...)
+		case evThread:
+			buf = append(buf, ",\n   \"args\": {\n    \"name\": \""...)
+			if e.pid == pidClusters {
+				buf = append(buf, "cluster "...)
+			} else {
+				buf = append(buf, "rank "...)
+			}
+			buf = strconv.AppendInt(buf, int64(e.tid), 10)
+			if e.pid == pidPhases {
+				buf = append(buf, " phases"...)
+			}
+			buf = append(buf, "\"\n   }"...)
+		case evBurst:
+			b := &v.Bursts[e.ref]
+			buf = appendArgsHead(append(buf, ",\n   \"cat\": \"burst\""...), b.Cluster, b.Region)
+			if b.Iter != 0 {
+				buf = strconv.AppendInt(append(buf, ",\n    \"iter\": "...), b.Iter, 10)
+			}
+			buf = append(buf, "\n   }"...)
+		case evPhase, evFolded:
+			if e.kind == evPhase {
+				buf = append(buf, ",\n   \"cat\": \"phase\""...)
+			} else {
+				buf = append(buf, ",\n   \"cat\": \"folded\""...)
+			}
+			f := frags[e.ref]
+			buf = append(buf, arena[f.mid:f.hi]...)
+		case evRep:
+			c := &v.Clusters[e.ref]
+			buf = appendArgsHead(append(buf, ",\n   \"cat\": \"folded\""...), c.Label, c.Region)
+			buf = append(buf, "\n   }"...)
+		case evDiag:
+			buf = append(buf, ",\n   \"cat\": \"diagnostic\",\n   \"s\": \"g\",\n   \"args\": {\n    \"message\": "...)
+			buf = appendString(buf, v.Diagnostics[e.ref].Message)
+			buf = append(buf, "\n   }"...)
+		}
+		buf = append(buf, "\n  }"...)
+	}
+	buf = append(buf, "\n ]\n}\n"...)
+	_, err := w.Write(buf)
+	return err
+}
+
+// perfettoEventBytes sizes the output buffer: rendered events average
+// 235–285 bytes on the simulated apps, so one buffer usually suffices.
+const perfettoEventBytes = 288
+
+// processSuffix names each process after the app.
+var processSuffix = [...]string{
+	pidRanks:       " ranks",
+	pidPhases:      " phases",
+	pidClusters:    " clusters (folded)",
+	pidDiagnostics: " diagnostics",
+}
+
+// appendArgsHead opens an args object with its cluster and region fields.
+func appendArgsHead(b []byte, cluster int, region int64) []byte {
+	b = strconv.AppendInt(append(b, ",\n   \"args\": {\n    \"cluster\": "...), int64(cluster), 10)
+	return strconv.AppendInt(append(b, ",\n    \"region\": "...), region, 10)
+}
+
+// appendFloat appends f exactly as encoding/json encodes a float64: the
+// shortest 'f' form, or 'e' form when 0 < |f| < 1e-6 or |f| >= 1e21, with a
+// two-digit negative exponent shortened (e-09 → e-9). f must be finite.
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+// appendString appends the concatenation of parts as a JSON string. Parts
+// made only of printable ASCII that encoding/json leaves alone (no quote,
+// backslash, or HTML-escaped <, >, &) are copied verbatim; anything else
+// is encoded by encoding/json itself, so escaping stays exact.
+func appendString(b []byte, parts ...string) []byte {
+	for _, p := range parts {
+		for i := 0; i < len(p); i++ {
+			if c := p[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+				q, _ := json.Marshal(strings.Join(parts, "")) // a string always marshals
+				return append(b, q...)
+			}
+		}
+	}
+	b = append(b, '"')
+	for _, p := range parts {
+		b = append(b, p...)
+	}
+	return append(b, '"')
 }

@@ -221,6 +221,7 @@ type series struct {
 	help   string
 	kind   metricKind
 	labels Labels
+	sig    string // labels.signature(), the snapshot's secondary sort key
 	c      *Counter
 	g      *Gauge
 	h      *Histogram
@@ -241,24 +242,25 @@ func NewRegistry() *Registry { return &Registry{series: make(map[string]*series)
 // included — under the registry lock, so a concurrent exporter never
 // observes a series whose instrument is still being attached.
 func (r *Registry) lookup(name string, kind metricKind, help string, labels Labels, bounds []float64) *series {
-	key := name + "\x00" + labels.signature()
+	sig := labels.signature()
+	key := name + "\x00" + sig
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if s, ok := r.series[key]; ok {
 		if s.kind != kind {
 			// A kind collision is a programming error; keep the registry
 			// consistent by handing back a detached instrument.
-			return newSeries(name, help, kind, labels, bounds)
+			return newSeries(name, help, kind, labels, sig, bounds)
 		}
 		return s
 	}
-	s := newSeries(name, help, kind, labels, bounds)
+	s := newSeries(name, help, kind, labels, sig, bounds)
 	r.series[key] = s
 	return s
 }
 
-func newSeries(name, help string, kind metricKind, labels Labels, bounds []float64) *series {
-	s := &series{name: name, help: help, kind: kind, labels: labels}
+func newSeries(name, help string, kind metricKind, labels Labels, sig string, bounds []float64) *series {
+	s := &series{name: name, help: help, kind: kind, labels: labels, sig: sig}
 	switch kind {
 	case kindCounter:
 		s.c = &Counter{}
@@ -311,7 +313,7 @@ func (r *Registry) snapshot() []*series {
 		if out[i].name != out[j].name {
 			return out[i].name < out[j].name
 		}
-		return out[i].labels.signature() < out[j].labels.signature()
+		return out[i].sig < out[j].sig
 	})
 	return out
 }

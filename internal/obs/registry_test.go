@@ -1,7 +1,12 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
+	"math/rand/v2"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -155,5 +160,86 @@ func TestKindCollisionDetaches(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "same_name 2") {
 		t.Errorf("exposition lost the original series:\n%s", b.String())
+	}
+}
+
+// TestExportOrderMatchesSignatureSort registers series in a scrambled
+// order, each label set in a scrambled key order, and checks that both
+// exporters list them exactly as a fresh sort by (name, signature) does.
+func TestExportOrderMatchesSignatureSort(t *testing.T) {
+	type reg struct {
+		name   string
+		labels Labels
+	}
+	var all []reg
+	for _, name := range []string{"m_b", "m_a", "m_c"} {
+		for _, ls := range []Labels{
+			nil,
+			{{K: "phase", V: "1"}, {K: "cluster", V: "10"}},
+			{{K: "cluster", V: "2"}, {K: "phase", V: "1"}},
+			{{K: "metric", V: "ipc"}, {K: "phase", V: "0"}, {K: "cluster", V: "2"}},
+			{{K: "cluster", V: "2"}, {K: "metric", V: "IPC"}, {K: "phase", V: "0"}},
+			{{K: "z", V: ""}},
+			{{K: "a", V: "z"}},
+			{{K: "a_b", V: "1"}, {K: "a", V: "b"}},
+			{{K: "a", V: "1"}},
+			{{K: "b", V: "2"}, {K: "a", V: "1"}},
+		} {
+			all = append(all, reg{name, ls})
+		}
+	}
+	rng := rand.New(rand.NewPCG(7, 11))
+	rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+
+	r := NewRegistry()
+	for i, s := range all {
+		scrambled := append(Labels(nil), s.labels...)
+		rng.Shuffle(len(scrambled), func(i, j int) { scrambled[i], scrambled[j] = scrambled[j], scrambled[i] })
+		r.Gauge(s.name, "", scrambled...).Set(float64(i)) // the value identifies the series
+	}
+	want := make([]int, len(all))
+	for i := range want {
+		want[i] = i
+	}
+	sort.SliceStable(want, func(i, j int) bool {
+		a, b := all[want[i]], all[want[j]]
+		if a.name != b.name {
+			return a.name < b.name
+		}
+		return a.labels.signature() < b.labels.signature()
+	})
+
+	var prom strings.Builder
+	if err := r.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	var fromProm []int
+	for _, line := range strings.Split(strings.TrimSpace(prom.String()), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		v, err := strconv.Atoi(line[strings.LastIndexByte(line, ' ')+1:])
+		if err != nil {
+			t.Fatalf("line %q: %v", line, err)
+		}
+		fromProm = append(fromProm, v)
+	}
+	var js bytes.Buffer
+	if err := r.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	var series []struct{ Value float64 }
+	if err := json.Unmarshal(js.Bytes(), &series); err != nil {
+		t.Fatal(err)
+	}
+	var fromJSON []int
+	for _, s := range series {
+		fromJSON = append(fromJSON, int(s.Value))
+	}
+	if !slices.Equal(fromProm, want) {
+		t.Errorf("WritePrometheus order %v, want %v", fromProm, want)
+	}
+	if !slices.Equal(fromJSON, want) {
+		t.Errorf("WriteJSON order %v, want %v", fromJSON, want)
 	}
 }

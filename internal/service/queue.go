@@ -319,6 +319,7 @@ func buildResult(j *job, jr runner.JobResult, view *core.ExportView,
 
 // renderArtifacts renders every export format from the view. The export
 // layer guarantees deterministic byte-identical output for a given view.
+// Both metric snapshots are written from one registry.
 func renderArtifacts(view *core.ExportView) map[string][]byte {
 	arts := make(map[string][]byte, 4)
 	render := func(name string, write func(*bytes.Buffer) error) {
@@ -327,9 +328,10 @@ func renderArtifacts(view *core.ExportView) map[string][]byte {
 			arts[name] = buf.Bytes()
 		}
 	}
+	snap := export.Snapshot(view)
 	render(artifactPerfetto, func(b *bytes.Buffer) error { return export.WritePerfetto(b, view) })
 	render(artifactFlame, func(b *bytes.Buffer) error { return export.WriteFlamegraph(b, view, "") })
-	render(artifactSnapshot, func(b *bytes.Buffer) error { return export.WriteOpenMetrics(b, view) })
-	render(artifactSnapshotJSON, func(b *bytes.Buffer) error { return export.WriteSnapshotJSON(b, view) })
+	render(artifactSnapshot, func(b *bytes.Buffer) error { return snap.WritePrometheus(b) })
+	render(artifactSnapshotJSON, func(b *bytes.Buffer) error { return snap.WriteJSON(b) })
 	return arts
 }
