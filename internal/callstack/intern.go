@@ -1,8 +1,8 @@
 package callstack
 
 import (
-	"hash/maphash"
-	"unsafe"
+	"math/bits"
+	"math/rand/v2"
 )
 
 // StackID indexes an interned stack in an Interner.
@@ -16,25 +16,37 @@ const NoStack StackID = -1
 // trace memory proportional to the code structure rather than the sample
 // count — the same trick Extrae's sample buffers use.
 type Interner struct {
-	seed   maphash.Seed
+	seed   uint64
 	stacks []Stack
 	index  map[uint64][]StackID
 }
 
 // NewInterner returns an empty interner.
 func NewInterner() *Interner {
-	return &Interner{
-		seed:  maphash.MakeSeed(),
-		index: make(map[uint64][]StackID),
-	}
+	return &Interner{seed: rand.Uint64(), index: make(map[uint64][]StackID)}
 }
 
+// hash mixes a stack's frames field by field into a random per-interner
+// seed. Fields, never the struct's bytes: Frame carries padding whose
+// content is unspecified, so equal stacks must hash from their fields alone
+// to share an identifier. The seed keeps stacks crafted offline (the
+// tables come from untrusted input) from sharing a bucket, which would make
+// Intern's bucket scan quadratic. Identifiers never depend on the hash:
+// they are handed out in insertion order.
 func (in *Interner) hash(s Stack) uint64 {
-	if len(s) == 0 {
-		return 0
+	h := in.seed ^ uint64(len(s))
+	for _, f := range s {
+		h = mix(h ^ uint64(uint32(f.Routine)))
+		h = mix(h ^ uint64(f.Line))
 	}
-	b := unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
-	return maphash.Bytes(in.seed, b)
+	return h
+}
+
+// mix is a 64-bit multiply-fold step (wyhash's mum): full avalanche for
+// the few machine words a stack holds.
+func mix(x uint64) uint64 {
+	hi, lo := bits.Mul64(x^0xa0761d6478bd642f, 0xe7037ed1a0b428db)
+	return hi ^ lo
 }
 
 // Intern registers the stack (copying it) and returns its identifier.

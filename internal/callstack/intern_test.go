@@ -89,3 +89,27 @@ func TestAllOrder(t *testing.T) {
 		t.Fatal("All order does not match ids")
 	}
 }
+
+// TestInternCraftedStacksSpread interns stacks crafted to collide if hash
+// started from a fixed state: a one-frame stack would hash to
+// mix(mix(1^Routine)^Line), and Line = K ^ mix(1^Routine) sends every
+// routine to K. Stack tables come from untrusted input, and Intern scans a
+// bucket linearly, so a shared bucket would make interning them quadratic;
+// under the seeded hash each lands in a bucket of its own.
+func TestInternCraftedStacksSpread(t *testing.T) {
+	const n, k = 20000, 0x5eed
+	in := NewInterner()
+	for r := 0; r < n; r++ {
+		line := k ^ mix(1^uint64(uint32(r)))
+		if id := in.Intern(Stack{{Routine: RoutineID(r), Line: int(line)}}); int(id) != r {
+			t.Fatalf("stack %d interned as %d", r, id)
+		}
+	}
+	worst := 0
+	for _, ids := range in.index {
+		worst = max(worst, len(ids))
+	}
+	if len(in.index) != n || worst != 1 {
+		t.Fatalf("%d crafted stacks share %d buckets (largest holds %d)", n, len(in.index), worst)
+	}
+}

@@ -76,7 +76,7 @@ func TestAssignorNoise(t *testing.T) {
 	}
 	// A burst missing a required counter is noise.
 	missing := mkBurst(10_000_000, 5_000_000, 100, 2*sim.Millisecond)
-	missing.Delta[counters.Cycles] = counters.Missing
+	missing.Delta.Drop(counters.Cycles)
 	if got := a.Assign(&missing); got != Noise {
 		t.Fatalf("counter-less burst assigned %d, want Noise", got)
 	}

@@ -11,11 +11,11 @@ import (
 
 func mkBurst(ins, cyc, l1 int64, dur sim.Duration) trace.Burst {
 	d := counters.AllMissing()
-	d[counters.Instructions] = ins
-	d[counters.Cycles] = cyc
-	d[counters.L1DMisses] = l1
-	d[counters.Loads] = ins / 3
-	d[counters.Stores] = ins / 10
+	d.Put(counters.Instructions, ins)
+	d.Put(counters.Cycles, cyc)
+	d.Put(counters.L1DMisses, l1)
+	d.Put(counters.Loads, ins/3)
+	d.Put(counters.Stores, ins/10)
 	return trace.Burst{Start: 0, End: dur, Delta: d, Cluster: trace.ClusterNone}
 }
 
@@ -49,7 +49,7 @@ func TestFeatureValues(t *testing.T) {
 
 func TestFeatureMissingCounter(t *testing.T) {
 	b := mkBurst(1000, 2000, 5, sim.Millisecond)
-	b.Delta[counters.Cycles] = counters.Missing
+	b.Delta.Drop(counters.Cycles)
 	if _, ok := featureOf(&b, FeatIPC); ok {
 		t.Fatal("IPC computed without cycles")
 	}

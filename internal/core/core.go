@@ -274,7 +274,7 @@ func Analyze(ctx context.Context, tr *trace.Trace, opt Options) (*Model, error) 
 	return m, endAnalysis(ctx, aspan, m, err)
 }
 
-// endAnalysis is the epilogue Analyze and AnalyzeBursts share: it grades
+// endAnalysis is the epilogue Analyze and Ingest.Done share: it grades
 // the run's outcome onto the analyze span, counts it, logs the finished
 // model, and passes err through.
 func endAnalysis(ctx context.Context, aspan *obs.Span, m *Model, err error) error {
@@ -298,113 +298,27 @@ func endAnalysis(ctx context.Context, aspan *obs.Span, m *Model, err error) erro
 	return err
 }
 
-// analyze is the Analyze body, under the run's "analyze" span: the
-// trace-resident front half (prepare, health checks, budget, extraction)
-// followed by the burst-level tail shared with the streaming session.
+// analyze is the Analyze body, under the run's "analyze" span: the trace
+// through the front half (Ingest), then the burst-level tail.
 func analyze(ctx context.Context, tr *trace.Trace, opt Options) (*Model, error) {
-	ds := newDiagSink(ctx)
-	if opt.Strict {
-		if err := tr.Validate(); err != nil {
-			return nil, fmt.Errorf("core: validating trace: %w", err)
-		}
-		if err := checkBudget(tr, opt.Budget); err != nil {
-			return nil, err
-		}
-	} else {
-		_, pspan, endPrepare := startStage(ctx, spanPrepare)
-		prepared, err := prepare(ctx, tr, ds)
-		if err == nil {
-			tr = prepared
-			runHealthChecks(tr, ds)
-			tr = applyBudget(tr, opt.Budget, ds)
-			pspan.SetAttr("ranks", int64(tr.NumRanks()))
-			pspan.SetAttr("records", int64(tr.NumEvents()+tr.NumSamples()))
-		}
-		endPrepare()
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	ectx, espan, endExtract := startStage(ctx, spanExtract)
-	bursts, err := extractAll(ectx, tr, opt, ds)
-	espan.SetAttr("ranks", int64(tr.NumRanks()))
-	espan.SetAttr("bursts", int64(len(bursts)))
-	recordStageThroughput(ctx, espan, spanExtract, int64(tr.NumEvents()+tr.NumSamples()))
-	endExtract()
-	if err != nil {
+	in := NewIngest(tr.AppName, tr.NumRanks(), tr.Symbols, tr.Stacks, opt)
+	if err := in.FeedTrace(ctx, tr); err != nil {
 		return nil, err
 	}
-	return analyzeTail(ctx, tailInput{
-		app:     tr.AppName,
-		nRanks:  tr.NumRanks(),
-		syms:    tr.Symbols,
-		stacks:  tr.Stacks,
-		bursts:  bursts,
-		project: folding.TraceProjector(tr),
-	}, opt, ds)
+	return in.model(ctx)
 }
 
 // tailInput is everything the burst-level pipeline tail needs; nothing in it
-// requires a resident trace. The batch path fills it from the trace it holds
-// (with a lazy TraceProjector); the streaming session fills it from the
-// state it accumulated as chunks arrived.
+// requires a resident trace. Ingest fills it as it settles: the bursts of
+// the kept ranks, and their folded observations projected out of the
+// resident records or replayed from the clouds the chunked path built.
 type tailInput struct {
-	app          string
-	nRanks       int
-	syms         *callstack.SymbolTable
-	stacks       *callstack.Interner
-	bursts       []trace.Burst
-	project      folding.Projector
-	totalRecords int64 // decoded record count for throughput attrs; 0 = unknown
-}
-
-// BurstsInput is the input to AnalyzeBursts — the hand-off point where the
-// streaming session joins the batch pipeline. Bursts carry extraction output
-// (sample links resolved, clusters unassigned or pre-assigned); Project
-// supplies the folded observations of each burst (see folding.Projector).
-// Prior diagnostics, produced by the caller's own prepare/health/budget/
-// extract equivalents, are prepended to the model's diagnostics so the
-// combined list reads in batch stage order.
-type BurstsInput struct {
-	// App names the analyzed application.
-	App string
-	// NumRanks is the rank count of the originating trace.
-	NumRanks int
-	// Symbols and Stacks are the trace's resolution tables, used by phase
-	// attribution.
-	Symbols *callstack.SymbolTable
-	Stacks  *callstack.Interner
-	// Bursts are the extracted computation bursts, in any order.
-	Bursts []trace.Burst
-	// Project supplies each burst's folded observations.
-	Project folding.Projector
-	// Prior carries diagnostics recorded before the hand-off.
-	Prior []Diagnostic
-}
-
-// AnalyzeBursts runs the pipeline tail — structure detection, folding,
-// piece-wise linear fitting, grading — over already-extracted bursts. It is
-// the entry point the streaming session's Done uses; given the bursts,
-// projections, and diagnostics a batch run would have produced, the model is
-// byte-identical to Analyze's. Strictness, budget stage timeouts,
-// parallelism, and cancellation behave exactly as in Analyze.
-func AnalyzeBursts(ctx context.Context, in BurstsInput, opt Options) (*Model, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ctx, aspan := obs.StartSpan(ctx, spanAnalyze)
-	ds := newDiagSink(ctx)
-	ds.diags = append(ds.diags, in.Prior...)
-	m, err := analyzeTail(ctx, tailInput{
-		app:     in.App,
-		nRanks:  in.NumRanks,
-		syms:    in.Symbols,
-		stacks:  in.Stacks,
-		bursts:  in.Bursts,
-		project: in.Project,
-	}, opt, ds)
-	return m, endAnalysis(ctx, aspan, m, err)
+	app     string
+	nRanks  int
+	syms    *callstack.SymbolTable
+	stacks  *callstack.Interner
+	bursts  []trace.Burst
+	project folding.Projector
 }
 
 // analyzeTail is the shared back half of the pipeline, from burst sorting
@@ -526,126 +440,6 @@ func analyzeTail(ctx context.Context, in tailInput, opt Options, ds *diagSink) (
 	return model, nil
 }
 
-// prepare readies a trace for lenient analysis. A trace that already
-// validates is used as-is (the pristine fast path — bitwise-identical
-// behavior to strict mode). A damaged trace is cloned, sanitized, and
-// per-rank re-validated; ranks that remain invalid after repair are dropped.
-// The caller's trace is never modified. Validation runs rank by rank and
-// checks ctx between ranks; a canceled ctx returns its error.
-func prepare(ctx context.Context, tr *trace.Trace, ds *diagSink) (*trace.Trace, error) {
-	valid := true
-	for r := 0; r < len(tr.Ranks) && valid; r++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		valid = tr.ValidateRank(r) == nil
-	}
-	if valid {
-		return tr, nil
-	}
-	work := tr.Clone()
-	ds.fromProblems(work.Sanitize())
-	for r := range work.Ranks {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := work.ValidateRank(r); err != nil {
-			work.Ranks[r].Events = nil
-			work.Ranks[r].Samples = nil
-			ds.add("validate", KindRankDropped, SeverityError, r, -1, "rank unrepairable, dropped: %v", err)
-		}
-	}
-	return work, nil
-}
-
-// rankExtract is one rank's extraction outcome slot. stopped marks ranks
-// the stage guard prevented from starting (stage timeout or cancellation);
-// the merge scan turns the first stopped rank into the same error or
-// diagnostic the serial loop would have produced at that point.
-type rankExtract struct {
-	bursts  []trace.Burst
-	err     error
-	stopped bool
-}
-
-// extractAll extracts computation bursts under the extraction stage guard,
-// fanning ranks out over opt.Parallelism workers. Every rank's result lands
-// in its own slot and the merge scan walks slots in rank order, so the
-// burst list is identical to a serial extraction. Strict mode fails on the
-// first (lowest-rank) error, panics included, wrapped in ErrPanic; lenient
-// mode drops failing ranks with a diagnostic. A stage timeout keeps the
-// longest clean prefix of extracted ranks — rank 0 is always extracted,
-// even under an already-expired budget: a timeout degrades the analysis to
-// a subset, never to nothing (that would trade a partial answer for the
-// unabsorbable no-bursts failure in Analyze). The caller's own cancellation
-// propagates.
-func extractAll(ctx context.Context, tr *trace.Trace, opt Options, ds *diagSink) ([]trace.Burst, error) {
-	sctx, cancel := stageContext(ctx, opt.Budget)
-	defer cancel()
-	bopt := trace.BurstOptions{MinDuration: opt.MinBurstDuration}
-	n := len(tr.Ranks)
-	workers := par.N(opt.Parallelism)
-	if workers > n {
-		workers = n
-	}
-	_, wspans := workerSpans(ctx, "extract_worker", workers)
-	perRank := make([]rankExtract, n)
-	par.ForEach(workers, n, func(worker, r int) {
-		if err := sctx.Err(); err != nil && r > 0 {
-			perRank[r].stopped, perRank[r].err = true, err
-			return
-		}
-		rd := tr.Ranks[r]
-		perRank[r].err = capture(fmt.Sprintf("extract rank %d", r), func() error {
-			if testHookExtract != nil {
-				testHookExtract(r)
-			}
-			var e error
-			perRank[r].bursts, e = trace.ExtractRankBursts(rd, bopt)
-			return e
-		})
-		wspans[worker].AddInt("ranks", 1)
-		wspans[worker].AddInt("bursts", int64(len(perRank[r].bursts)))
-	})
-	for _, s := range wspans {
-		s.End()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var bursts []trace.Burst
-	for r := 0; r < n; r++ {
-		if perRank[r].stopped {
-			if !stageBudgetExceeded(ctx, perRank[r].err) {
-				return nil, perRank[r].err
-			}
-			if opt.Strict {
-				return nil, fmt.Errorf("%w: extraction exceeded stage timeout", ErrBudget)
-			}
-			ds.add("budget", KindBudgetExceeded, SeverityWarn, r, -1,
-				"budget_exceeded:extract: stage timeout after %d of %d ranks", r, n)
-			break
-		}
-		if err := perRank[r].err; err != nil {
-			if opt.Strict {
-				return nil, fmt.Errorf("core: extracting bursts: %w", err)
-			}
-			ds.add("extract", KindExtractFailed, SeverityError, r, -1, "burst extraction failed, rank dropped: %v", err)
-			continue
-		}
-		bursts = append(bursts, perRank[r].bursts...)
-	}
-	if opt.Strict {
-		if err := sctx.Err(); err != nil {
-			if stageBudgetExceeded(ctx, err) {
-				return nil, fmt.Errorf("%w: extraction exceeded stage timeout", ErrBudget)
-			}
-			return nil, err
-		}
-	}
-	return bursts, nil
-}
-
 // workerSpans opens one child span per pool worker under ctx's current
 // span — per worker, not per item, so span volume stays bounded however
 // large the trace is. Each worker owns its span exclusively; Span methods
@@ -665,8 +459,10 @@ func workerSpans(ctx context.Context, prefix string, workers int) ([]context.Con
 	return ctxs, spans
 }
 
-// clusterFold is one cluster's folding outcome slot; see rankExtract for
-// the stopped convention.
+// clusterFold is one cluster's folding outcome slot. stopped marks clusters
+// the stage guard prevented from starting (stage timeout or cancellation);
+// the merge scan turns the first stopped cluster into the same error or
+// diagnostic the serial loop would have produced at that point.
 type clusterFold struct {
 	folded  *folding.Folded
 	err     error
@@ -682,7 +478,7 @@ type clusterFold struct {
 // proceed). A stage timeout keeps the longest clean prefix of folded
 // clusters; unfolded clusters grade Rejected downstream. The first cluster
 // is always folded, even under an already-expired budget, mirroring
-// extraction's at-least-one-rank rule.
+// extraction's at-least-one-rank rule (see Ingest).
 func foldAll(ctx context.Context, project folding.Projector, bursts []trace.Burst, stats []cluster.Stat, opt Options, ds *diagSink) (map[int]*folding.Folded, error) {
 	sctx, cancel := stageContext(ctx, opt.Budget)
 	defer cancel()

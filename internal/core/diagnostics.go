@@ -7,7 +7,6 @@ import (
 
 	"phasefold/internal/obs"
 	"phasefold/internal/sim"
-	"phasefold/internal/trace"
 )
 
 // Severity grades a Diagnostic.
@@ -182,13 +181,6 @@ func (ds *diagSink) record(d Diagnostic) {
 		obs.Label{K: "kind", V: d.Kind}).Inc()
 }
 
-// fromProblems converts trace.Sanitize repairs into diagnostics.
-func (ds *diagSink) fromProblems(probs []trace.Problem) {
-	for _, p := range probs {
-		ds.add("sanitize", KindRepair, SeverityWarn, p.Rank, -1, "%s: %d records (%s)", p.Kind, p.Count, p.Detail)
-	}
-}
-
 // Health-check thresholds. They are deliberately conservative: a pristine
 // trace from the bundled workloads must never trip them, while the fault
 // rates the robustness experiment injects (≥ a few percent) reliably do.
@@ -200,14 +192,3 @@ const (
 	healthSkewFloor      = 100 * sim.Microsecond
 	healthSkewOfIterFrac = 0.25 // ... or >25% of an iteration, whichever is larger
 )
-
-// runHealthChecks inspects a (sanitized) trace for damage signatures that
-// leave the container invariants intact: missing samples, empty or
-// early-ending ranks, cross-rank clock skew. It runs on the same incremental
-// HealthObserver the streaming session feeds chunk by chunk, so batch and
-// streamed analyses raise identical health diagnostics.
-func runHealthChecks(tr *trace.Trace, ds *diagSink) {
-	h := NewHealthObserver(tr.NumRanks())
-	h.ObserveTrace(tr)
-	h.report(ds)
-}

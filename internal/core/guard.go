@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"phasefold/internal/exec"
-	"phasefold/internal/trace"
 )
 
 // ErrBudget tags analysis failures caused by a resource budget, so strict-
@@ -44,181 +43,6 @@ func stageContext(ctx context.Context, b Budget) (context.Context, context.Cance
 // propagated otherwise.
 func stageBudgetExceeded(parent context.Context, err error) bool {
 	return err != nil && parent.Err() == nil && errors.Is(err, context.DeadlineExceeded)
-}
-
-// rankBudget returns how many leading ranks of tr fit the record and byte
-// budgets (at least 1, at most MaxRanks when set) and the record total kept.
-// Rank granularity keeps every per-rank invariant intact — a record-level
-// cut could split an open region and invalidate the stream — and an SPMD
-// execution's ranks are statistically interchangeable, so a rank prefix is
-// the natural subsample.
-func rankBudget(tr *trace.Trace, b Budget) (keep int, records int) {
-	limit := len(tr.Ranks)
-	if b.MaxRanks > 0 && b.MaxRanks < limit {
-		limit = b.MaxRanks
-	}
-	for r := 0; r < limit; r++ {
-		rd := tr.Ranks[r]
-		n := len(rd.Events) + len(rd.Samples)
-		bytes := int64(len(rd.Events))*trace.EventBytes + int64(len(rd.Samples))*trace.SampleBytes
-		if keep > 0 {
-			if b.MaxRecords > 0 && records+n > b.MaxRecords {
-				break
-			}
-			if b.MaxBytes > 0 && estimateBytes(tr, keep)+bytes > b.MaxBytes {
-				break
-			}
-		}
-		records += n
-		keep++
-	}
-	return keep, records
-}
-
-func estimateBytes(tr *trace.Trace, nRanks int) int64 {
-	var total int64
-	for r := 0; r < nRanks; r++ {
-		rd := tr.Ranks[r]
-		total += int64(len(rd.Events))*trace.EventBytes + int64(len(rd.Samples))*trace.SampleBytes
-	}
-	return total
-}
-
-// checkBudget verifies tr against the static budget limits, for strict mode.
-func checkBudget(tr *trace.Trace, b Budget) error {
-	if b.MaxRanks > 0 && tr.NumRanks() > b.MaxRanks {
-		return fmt.Errorf("%w: trace has %d ranks, budget allows %d", ErrBudget, tr.NumRanks(), b.MaxRanks)
-	}
-	if records := tr.NumEvents() + tr.NumSamples(); b.MaxRecords > 0 && records > b.MaxRecords {
-		return fmt.Errorf("%w: trace has %d records, budget allows %d", ErrBudget, records, b.MaxRecords)
-	}
-	if est := tr.EstimateBytes(); b.MaxBytes > 0 && est > b.MaxBytes {
-		return fmt.Errorf("%w: trace holds ~%d resident bytes, budget allows %d", ErrBudget, est, b.MaxBytes)
-	}
-	return nil
-}
-
-// applyBudget trims tr to the static budget limits for lenient analysis,
-// recording every cut as a budget diagnostic. The returned trace shares the
-// kept ranks' record slices with tr (analysis never mutates them); the
-// caller's trace is not modified.
-func applyBudget(tr *trace.Trace, b Budget, ds *diagSink) *trace.Trace {
-	if b.MaxRecords <= 0 && b.MaxRanks <= 0 && b.MaxBytes <= 0 {
-		return tr
-	}
-	keep, records := rankBudget(tr, b)
-	if keep >= tr.NumRanks() {
-		return tr
-	}
-	out := trace.New(tr.AppName, keep, tr.Symbols, tr.Stacks)
-	for r := 0; r < keep; r++ {
-		out.Ranks[r] = tr.Ranks[r]
-	}
-	stage := "ranks"
-	switch {
-	case b.MaxRanks > 0 && keep == b.MaxRanks:
-	case b.MaxRecords > 0 && records <= b.MaxRecords:
-		stage = "records"
-	default:
-		stage = "memory"
-	}
-	ds.add("budget", KindBudgetExceeded, SeverityWarn, -1, -1,
-		"budget_exceeded:%s: analyzing first %d of %d ranks (%d records kept)",
-		stage, keep, tr.NumRanks(), records)
-	return out
-}
-
-// StreamCounts is the per-rank record tally a streaming session accumulates
-// in place of a resident trace; index r holds rank r's counts.
-type StreamCounts struct {
-	Events  []int
-	Samples []int
-}
-
-// Records returns the total record count.
-func (c StreamCounts) Records() int {
-	n := 0
-	for i := range c.Events {
-		n += c.Events[i] + c.Samples[i]
-	}
-	return n
-}
-
-// Bytes returns the resident-byte estimate a trace holding these records
-// would report (trace.EstimateBytes).
-func (c StreamCounts) Bytes() int64 {
-	var total int64
-	for i := range c.Events {
-		total += int64(c.Events[i])*trace.EventBytes + int64(c.Samples[i])*trace.SampleBytes
-	}
-	return total
-}
-
-func (c StreamCounts) rankBytes(r int) int64 {
-	return int64(c.Events[r])*trace.EventBytes + int64(c.Samples[r])*trace.SampleBytes
-}
-
-// StreamBudget evaluates the static budget limits against streamed per-rank
-// record counts — the session-side equivalent of checkBudget (strict) and
-// applyBudget (lenient), applied at Done when the counts are final. Strict
-// mode returns an error wrapping ErrBudget with the batch messages. Lenient
-// mode returns how many leading ranks the analysis keeps and, when that
-// trims anything, the budget diagnostic applyBudget would have recorded;
-// keep == len(c.Events) and a nil diagnostic mean no trim.
-func StreamBudget(c StreamCounts, b Budget, strict bool) (keep int, diag *Diagnostic, err error) {
-	nRanks := len(c.Events)
-	if strict {
-		if b.MaxRanks > 0 && nRanks > b.MaxRanks {
-			return 0, nil, fmt.Errorf("%w: trace has %d ranks, budget allows %d", ErrBudget, nRanks, b.MaxRanks)
-		}
-		if records := c.Records(); b.MaxRecords > 0 && records > b.MaxRecords {
-			return 0, nil, fmt.Errorf("%w: trace has %d records, budget allows %d", ErrBudget, records, b.MaxRecords)
-		}
-		if est := c.Bytes(); b.MaxBytes > 0 && est > b.MaxBytes {
-			return 0, nil, fmt.Errorf("%w: trace holds ~%d resident bytes, budget allows %d", ErrBudget, est, b.MaxBytes)
-		}
-		return nRanks, nil, nil
-	}
-	if b.MaxRecords <= 0 && b.MaxRanks <= 0 && b.MaxBytes <= 0 {
-		return nRanks, nil, nil
-	}
-	limit := nRanks
-	if b.MaxRanks > 0 && b.MaxRanks < limit {
-		limit = b.MaxRanks
-	}
-	records := 0
-	var bytes int64
-	for r := 0; r < limit; r++ {
-		n := c.Events[r] + c.Samples[r]
-		rb := c.rankBytes(r)
-		if keep > 0 {
-			if b.MaxRecords > 0 && records+n > b.MaxRecords {
-				break
-			}
-			if b.MaxBytes > 0 && bytes+rb > b.MaxBytes {
-				break
-			}
-		}
-		records += n
-		bytes += rb
-		keep++
-	}
-	if keep >= nRanks {
-		return nRanks, nil, nil
-	}
-	stage := "ranks"
-	switch {
-	case b.MaxRanks > 0 && keep == b.MaxRanks:
-	case b.MaxRecords > 0 && records <= b.MaxRecords:
-		stage = "records"
-	default:
-		stage = "memory"
-	}
-	return keep, &Diagnostic{
-		Stage: "budget", Kind: KindBudgetExceeded, Severity: SeverityWarn, Rank: -1, Cluster: -1,
-		Message: fmt.Sprintf("budget_exceeded:%s: analyzing first %d of %d ranks (%d records kept)",
-			stage, keep, nRanks, records),
-	}, nil
 }
 
 // capture runs fn, converting a panic into an error wrapping ErrPanic so one

@@ -265,12 +265,16 @@ func TestPrepareStopsOnCancel(t *testing.T) {
 	tr := acquireTrace(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := prepare(ctx, tr, newDiagSink(context.Background())); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled prepare returned %v, want context.Canceled", err)
+	in := NewIngest(tr.AppName, tr.NumRanks(), tr.Symbols, tr.Stacks, DefaultOptions())
+	if err := in.FeedTrace(ctx, tr); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled ingest returned %v, want context.Canceled", err)
 	}
-	got, err := prepare(context.Background(), tr, newDiagSink(context.Background()))
-	if err != nil || got != tr {
-		t.Fatalf("prepare of a valid trace = %p, %v; want the trace itself", got, err)
+	in = NewIngest(tr.AppName, tr.NumRanks(), tr.Symbols, tr.Stacks, DefaultOptions())
+	if err := in.FeedTrace(context.Background(), tr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := in.settle(context.Background(), newDiagSink(context.Background())); err != nil || in.resident != tr {
+		t.Fatalf("front half of a valid trace projects from %p, %v; want the trace itself", in.resident, err)
 	}
 }
 

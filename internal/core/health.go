@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"sort"
 
 	"phasefold/internal/sim"
@@ -9,10 +8,11 @@ import (
 )
 
 // healthRank accumulates one rank's health statistics from its record
-// stream. Everything the checks need reduces to per-rank scalars plus the
-// sample-gap and iteration-duration lists, so the observer never retains
-// records — the property that lets the streaming session run the batch
-// health checks without a resident trace.
+// stream: the checks for damage signatures that leave the container
+// invariants intact — empty or early-ending ranks, lossy sampling streams,
+// cross-rank clock skew. Everything they need reduces to per-rank scalars
+// plus the sample-gap and iteration-duration lists, so a slot retains no
+// records; Ingest fills one per rank as records arrive.
 type healthRank struct {
 	records int
 	end     sim.Time
@@ -25,29 +25,9 @@ type healthRank struct {
 	iterDurs            []float64
 }
 
-// HealthObserver is the incremental form of the prepare-stage health checks:
-// feed it every record (in per-rank time order, any interleaving across
-// ranks) and Report renders exactly the diagnostics runHealthChecks derives
-// from a resident trace — empty ranks, early-ending ranks, lossy sampling
-// streams, cross-rank clock skew. The batch path itself runs on this
-// observer, so the two cannot drift.
-type HealthObserver struct {
-	ranks []healthRank
-}
+func newHealthRank() healthRank { return healthRank{firstIter: -1, prevIter: -1} }
 
-// NewHealthObserver returns an observer for a trace of nRanks ranks.
-func NewHealthObserver(nRanks int) *HealthObserver {
-	h := &HealthObserver{ranks: make([]healthRank, nRanks)}
-	for i := range h.ranks {
-		h.ranks[i].firstIter = -1
-		h.ranks[i].prevIter = -1
-	}
-	return h
-}
-
-// Event feeds one event of rank's stream.
-func (h *HealthObserver) Event(rank int, e trace.Event) {
-	hr := &h.ranks[rank]
+func (hr *healthRank) event(e *trace.Event) {
 	hr.records++
 	if e.Time > hr.end {
 		hr.end = e.Time
@@ -63,9 +43,7 @@ func (h *HealthObserver) Event(rank int, e trace.Event) {
 	}
 }
 
-// Sample feeds one sample of rank's stream.
-func (h *HealthObserver) Sample(rank int, s trace.Sample) {
-	hr := &h.ranks[rank]
+func (hr *healthRank) sample(s *trace.Sample) {
 	hr.records++
 	if s.Time > hr.end {
 		hr.end = s.Time
@@ -79,40 +57,17 @@ func (h *HealthObserver) Sample(rank int, s trace.Sample) {
 	hr.samples++
 }
 
-// Reset forgets everything observed for rank. The streaming session calls
-// it when lenient validation drops a rank mid-stream, so the health report
-// sees the rank exactly as batch prepare leaves it: empty.
-func (h *HealthObserver) Reset(rank int) {
-	h.ranks[rank] = healthRank{firstIter: -1, prevIter: -1}
-}
-
-// ObserveTrace feeds every record of tr — the batch path.
-func (h *HealthObserver) ObserveTrace(tr *trace.Trace) {
-	for r, rd := range tr.Ranks {
-		for _, e := range rd.Events {
-			h.Event(r, e)
-		}
-		for i := range rd.Samples {
-			h.Sample(r, rd.Samples[i])
-		}
-	}
-}
-
-// Report renders the accumulated statistics as diagnostics on rec, in the
-// batch stage's order: per-rank checks in rank order, then clock skew.
-func (h *HealthObserver) Report(rec *Recorder) {
-	h.report(rec.ds)
-}
-
-func (h *HealthObserver) report(ds *diagSink) {
+// reportHealth renders the ranks' health statistics as diagnostics, in the
+// stage's order: per-rank checks in rank order, then clock skew.
+func reportHealth(ranks []healthRank, ds *diagSink) {
 	var end sim.Time
-	for i := range h.ranks {
-		if h.ranks[i].end > end {
-			end = h.ranks[i].end
+	for i := range ranks {
+		if ranks[i].end > end {
+			end = ranks[i].end
 		}
 	}
-	for r := range h.ranks {
-		hr := &h.ranks[r]
+	for r := range ranks {
+		hr := &ranks[r]
 		if hr.records == 0 {
 			ds.add("health", KindRankEmpty, SeverityWarn, r, -1, "rank carries no records (process lost or stream dropped)")
 			continue
@@ -128,7 +83,7 @@ func (h *HealthObserver) report(ds *diagSink) {
 				"~%d of ~%d expected samples missing (sampling stream lossy?)", missing, expected)
 		}
 	}
-	h.clockSkew(ds)
+	clockSkew(ranks, ds)
 }
 
 // sampleLoss compares the rank's sample count against the count its own
@@ -154,7 +109,7 @@ func (hr *healthRank) sampleLoss() (missing, expected int) {
 // clockSkew compares the per-rank time of the earliest shared iteration
 // marker; ranks of an SPMD program reach it nearly together, so a large
 // spread means the per-rank clocks disagree.
-func (h *HealthObserver) clockSkew(ds *diagSink) {
+func clockSkew(ranks []healthRank, ds *diagSink) {
 	type mark struct {
 		rank int
 		t    sim.Time
@@ -163,8 +118,8 @@ func (h *HealthObserver) clockSkew(ds *diagSink) {
 		marks    []mark
 		iterDurs []float64
 	)
-	for r := range h.ranks {
-		hr := &h.ranks[r]
+	for r := range ranks {
+		hr := &ranks[r]
 		iterDurs = append(iterDurs, hr.iterDurs...)
 		if hr.firstIter >= 0 {
 			marks = append(marks, mark{rank: r, t: hr.firstIter})
@@ -193,26 +148,3 @@ func (h *HealthObserver) clockSkew(ds *diagSink) {
 		}
 	}
 }
-
-// A Recorder accumulates diagnostics raised outside core's own stages; the
-// streaming session uses one so its prepare/health/budget diagnostics are
-// logged and counted identically to the batch stages', then hands the list
-// to AnalyzeBursts as BurstsInput.Prior.
-type Recorder struct{ ds *diagSink }
-
-// NewRecorder returns a recorder logging and counting on ctx's telemetry.
-func NewRecorder(ctx context.Context) *Recorder {
-	return &Recorder{ds: newDiagSink(ctx)}
-}
-
-// Add records d, emitting the structured log event and metric increment.
-func (rec *Recorder) Add(d Diagnostic) { rec.ds.record(d) }
-
-// Addf formats and records a diagnostic (rank and cluster use -1 for "not
-// applicable").
-func (rec *Recorder) Addf(stage, kind string, sev Severity, rank, cluster int, format string, args ...any) {
-	rec.ds.add(stage, kind, sev, rank, cluster, format, args...)
-}
-
-// Diagnostics returns the recorded list in order.
-func (rec *Recorder) Diagnostics() []Diagnostic { return rec.ds.diags }

@@ -78,79 +78,121 @@ func AllIDs() []ID {
 	return ids
 }
 
-// Set is a snapshot of all counters at one instant. Counters the reading
-// hardware group did not cover are represented by Missing.
-type Set [NumIDs]int64
+// Set is a snapshot of all counters at one instant, together with which
+// counters the reading hardware group covered. Every int64 is a valid
+// counter value; whether a counter was captured lives in a separate mask
+// (stored inverted, so the zero Set is every counter captured at zero).
+type Set struct {
+	v       [NumIDs]int64
+	missing uint16 // bit id set: counter id was not captured
+}
 
-// Missing marks a counter value that was not captured (e.g. because its
-// multiplex group was not active when the sample fired).
-const Missing int64 = -1
+// The missing mask holds one bit per counter id.
+var _ [16 - NumIDs]struct{}
 
-// Sub returns the per-counter delta s - base. If either side of a counter is
-// Missing, the delta for that counter is Missing.
+// allMask has one bit set per counter id.
+const allMask = 1<<NumIDs - 1
+
+// Put records v as the captured value of counter id.
+func (s *Set) Put(id ID, v int64) {
+	if !id.Valid() {
+		return
+	}
+	s.v[id] = v
+	s.missing &^= 1 << id
+}
+
+// Drop marks counter id as not captured.
+func (s *Set) Drop(id ID) {
+	if !id.Valid() {
+		return
+	}
+	s.v[id] = 0
+	s.missing |= 1 << id
+}
+
+// Sub returns the per-counter delta s - base. A counter missing on either
+// side is missing in the delta.
 func (s Set) Sub(base Set) Set {
-	var d Set
-	for i := range s {
-		if s[i] == Missing || base[i] == Missing {
-			d[i] = Missing
-			continue
+	d := Set{missing: s.missing | base.missing}
+	for i := range d.v {
+		if d.missing&(1<<i) == 0 {
+			d.v[i] = s.v[i] - base.v[i]
 		}
-		d[i] = s[i] - base[i]
 	}
 	return d
 }
 
-// Add returns the per-counter sum s + o, propagating Missing.
+// Add returns the per-counter sum s + o, propagating missing counters.
 func (s Set) Add(o Set) Set {
-	var d Set
-	for i := range s {
-		if s[i] == Missing || o[i] == Missing {
-			d[i] = Missing
-			continue
+	d := Set{missing: s.missing | o.missing}
+	for i := range d.v {
+		if d.missing&(1<<i) == 0 {
+			d.v[i] = s.v[i] + o.v[i]
 		}
-		d[i] = s[i] + o[i]
 	}
 	return d
 }
 
 // Get returns the value of counter id and whether it was captured.
 func (s Set) Get(id ID) (int64, bool) {
-	if !id.Valid() {
+	if !id.Valid() || s.missing&(1<<id) != 0 {
 		return 0, false
 	}
-	v := s[id]
-	return v, v != Missing
+	return s.v[id], true
 }
+
+// Captured returns the presence mask: bit id is set when counter id was
+// captured.
+func (s Set) Captured() uint16 { return ^s.missing & allMask }
 
 // Complete reports whether every counter in the set was captured.
-func (s Set) Complete() bool {
-	for _, v := range s {
-		if v == Missing {
-			return false
-		}
-	}
-	return true
-}
+func (s Set) Complete() bool { return s.missing == 0 }
 
-// MaskedTo returns a copy of s where every counter outside keep is Missing.
+// MaskedTo returns a copy of s where every counter outside keep is missing.
 func (s Set) MaskedTo(keep []ID) Set {
-	var out Set
-	for i := range out {
-		out[i] = Missing
-	}
+	out := AllMissing()
 	for _, id := range keep {
 		if id.Valid() {
-			out[id] = s[id]
+			out.v[id] = s.v[id]
+			out.missing &^= ^s.missing & (1 << id)
 		}
 	}
 	return out
 }
 
-// AllMissing returns a set with every counter marked Missing.
-func AllMissing() Set {
-	var s Set
-	for i := range s {
-		s[i] = Missing
+// AllMissing returns a set with every counter marked not captured.
+func AllMissing() Set { return Set{missing: allMask} }
+
+// Advance moves s, the running values of a stream of cumulative
+// snapshots, to next: every counter next captured takes its value. It
+// stops at the first counter next captured, in id order, whose value is
+// negative or below the value s captured, and returns it with bad set; s
+// still holds that counter's previous value.
+func (s *Set) Advance(next *Set) (id ID, bad bool) {
+	for i := range next.v {
+		if next.missing&(1<<i) != 0 {
+			continue
+		}
+		v := next.v[i]
+		if v < 0 || (s.missing&(1<<i) == 0 && v < s.v[i]) {
+			return ID(i), true
+		}
+		s.v[i] = v
+		s.missing &^= 1 << i
 	}
-	return s
+	return 0, false
+}
+
+// String renders the values in id order, a counter that was not captured
+// as -1.
+func (s Set) String() string {
+	var vals [NumIDs]int64
+	for id := range vals {
+		vals[id] = -1
+		if v, ok := s.Get(ID(id)); ok {
+			vals[id] = v
+		}
+	}
+	return fmt.Sprint(vals)
 }

@@ -36,14 +36,14 @@ func TestInvalidIDString(t *testing.T) {
 
 func TestSetSubAdd(t *testing.T) {
 	var a, b Set
-	for i := range a {
-		a[i] = int64(10 * (i + 1))
-		b[i] = int64(i + 1)
+	for i := ID(0); i < NumIDs; i++ {
+		a.Put(i, int64(10*(i+1)))
+		b.Put(i, int64(i+1))
 	}
 	d := a.Sub(b)
-	for i := range d {
-		if want := int64(9 * (i + 1)); d[i] != want {
-			t.Fatalf("Sub[%d] = %d, want %d", i, d[i], want)
+	for i := ID(0); i < NumIDs; i++ {
+		if got, ok := d.Get(i); !ok || got != int64(9*(i+1)) {
+			t.Fatalf("Sub[%d] = %d, %v, want %d", i, got, ok, 9*(i+1))
 		}
 	}
 	s := d.Add(b)
@@ -54,12 +54,12 @@ func TestSetSubAdd(t *testing.T) {
 
 func TestMissingPropagation(t *testing.T) {
 	var a, b Set
-	a[Instructions] = 100
-	b[Instructions] = Missing
-	if d := a.Sub(b); d[Instructions] != Missing {
+	a.Put(Instructions, 100)
+	b.Drop(Instructions)
+	if _, ok := a.Sub(b).Get(Instructions); ok {
 		t.Fatal("Sub with Missing operand did not propagate Missing")
 	}
-	if d := b.Add(a); d[Instructions] != Missing {
+	if _, ok := b.Add(a).Get(Instructions); ok {
 		t.Fatal("Add with Missing operand did not propagate Missing")
 	}
 }
@@ -69,7 +69,7 @@ func TestSetGet(t *testing.T) {
 	if _, ok := s.Get(Instructions); ok {
 		t.Fatal("Get on Missing returned ok")
 	}
-	s[Instructions] = 42
+	s.Put(Instructions, 42)
 	v, ok := s.Get(Instructions)
 	if !ok || v != 42 {
 		t.Fatalf("Get = (%d, %v), want (42, true)", v, ok)
@@ -84,7 +84,7 @@ func TestComplete(t *testing.T) {
 	if !s.Complete() {
 		t.Fatal("zero set should be complete (zeros are valid values)")
 	}
-	s[L3Misses] = Missing
+	s.Drop(L3Misses)
 	if s.Complete() {
 		t.Fatal("set with Missing reported complete")
 	}
@@ -92,8 +92,8 @@ func TestComplete(t *testing.T) {
 
 func TestMaskedTo(t *testing.T) {
 	var s Set
-	for i := range s {
-		s[i] = int64(i + 1)
+	for i := ID(0); i < NumIDs; i++ {
+		s.Put(i, int64(i+1))
 	}
 	m := s.MaskedTo([]ID{Instructions, Cycles})
 	for _, id := range AllIDs() {
@@ -122,9 +122,9 @@ func TestMaskedToIgnoresInvalid(t *testing.T) {
 func TestSubAddProperty(t *testing.T) {
 	check := func(av, bv [NumIDs]int16) bool {
 		var a, b Set
-		for i := range a {
-			a[i] = int64(av[i])
-			b[i] = int64(bv[i])
+		for i := ID(0); i < NumIDs; i++ {
+			a.Put(i, int64(av[i]))
+			b.Put(i, int64(bv[i]))
 		}
 		// (a+b)-b == a for sets without Missing.
 		return a.Add(b).Sub(b) == a

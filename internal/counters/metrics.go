@@ -90,7 +90,7 @@ func (m Metric) Inputs() []ID {
 
 // Compute evaluates metric m over an interval described by the counter delta
 // and its duration. The boolean result is false when a required counter is
-// Missing or a denominator is zero.
+// not captured or a denominator is zero.
 func (m Metric) Compute(delta Set, elapsed sim.Duration) (float64, bool) {
 	get := func(id ID) (float64, bool) {
 		v, ok := delta.Get(id)
@@ -172,19 +172,18 @@ func (m Metric) Compute(delta Set, elapsed sim.Duration) (float64, bool) {
 }
 
 // Rates converts a counter delta over an elapsed duration into per-second
-// rates for each captured counter. Missing counters yield NaN-free zero
+// rates for each captured counter. Uncaptured counters yield NaN-free zero
 // entries with ok=false in the mask.
 func Rates(delta Set, elapsed sim.Duration) (rates [NumIDs]float64, ok [NumIDs]bool) {
 	if elapsed <= 0 {
 		return rates, ok
 	}
 	secs := elapsed.Seconds()
-	for i := range delta {
-		if delta[i] == Missing {
-			continue
+	for id := ID(0); id < NumIDs; id++ {
+		if v, captured := delta.Get(id); captured {
+			rates[id] = float64(v) / secs
+			ok[id] = true
 		}
-		rates[i] = float64(delta[i]) / secs
-		ok[i] = true
 	}
 	return rates, ok
 }

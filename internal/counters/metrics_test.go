@@ -10,16 +10,16 @@ import (
 // delta returns a fully captured counter delta for a synthetic interval.
 func testDelta() Set {
 	var d Set
-	d[Instructions] = 2_000_000
-	d[Cycles] = 1_000_000
-	d[L1DMisses] = 40_000
-	d[L2Misses] = 10_000
-	d[L3Misses] = 2_000
-	d[Loads] = 600_000
-	d[Stores] = 200_000
-	d[Branches] = 100_000
-	d[BranchMisses] = 5_000
-	d[FPOps] = 800_000
+	d.Put(Instructions, 2_000_000)
+	d.Put(Cycles, 1_000_000)
+	d.Put(L1DMisses, 40_000)
+	d.Put(L2Misses, 10_000)
+	d.Put(L3Misses, 2_000)
+	d.Put(Loads, 600_000)
+	d.Put(Stores, 200_000)
+	d.Put(Branches, 100_000)
+	d.Put(BranchMisses, 5_000)
+	d.Put(FPOps, 800_000)
 	return d
 }
 
@@ -54,7 +54,7 @@ func TestMetricValues(t *testing.T) {
 
 func TestMetricMissingInput(t *testing.T) {
 	d := testDelta()
-	d[Cycles] = Missing
+	d.Drop(Cycles)
 	if _, ok := IPC.Compute(d, sim.Millisecond); ok {
 		t.Fatal("IPC computed without cycles")
 	}
@@ -65,8 +65,8 @@ func TestMetricMissingInput(t *testing.T) {
 
 func TestMetricZeroDenominator(t *testing.T) {
 	var d Set
-	d[Instructions] = 0
-	d[L1DMisses] = 10
+	d.Put(Instructions, 0)
+	d.Put(L1DMisses, 10)
 	if _, ok := L1MissRatio.Compute(d, sim.Millisecond); ok {
 		t.Fatal("miss ratio computed with zero instructions")
 	}
@@ -111,7 +111,7 @@ func TestRates(t *testing.T) {
 	if got, want := rates[Instructions], 1_000_000.0; got != want {
 		t.Fatalf("instruction rate %v, want %v", got, want)
 	}
-	d[FPOps] = Missing
+	d.Drop(FPOps)
 	rates, okm := Rates(d, sim.Second)
 	if okm[FPOps] {
 		t.Fatal("rate computed for Missing counter")

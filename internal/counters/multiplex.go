@@ -109,7 +109,7 @@ type Extrapolator struct {
 
 // Observe folds one interval observation into the extrapolator. delta is the
 // counter delta of the interval; counters not captured by the active group
-// must be Missing. Intervals with no instruction count are ignored because
+// must be missing. Intervals with no instruction count are ignored because
 // the normalization basis is missing.
 func (e *Extrapolator) Observe(delta Set) {
 	ins, ok := delta.Get(Instructions)
@@ -121,12 +121,13 @@ func (e *Extrapolator) Observe(delta Set) {
 	if cyc, ok := delta.Get(Cycles); ok {
 		e.totalCyc += float64(cyc)
 	}
-	for i := range delta {
-		if delta[i] == Missing || ID(i) == Instructions {
+	for id := ID(0); id < NumIDs; id++ {
+		v, ok := delta.Get(id)
+		if !ok || id == Instructions {
 			continue
 		}
-		e.sumRatio[i] += float64(delta[i]) / float64(ins)
-		e.nObs[i]++
+		e.sumRatio[id] += float64(v) / float64(ins)
+		e.nObs[id]++
 	}
 }
 
@@ -134,20 +135,19 @@ func (e *Extrapolator) Observe(delta Set) {
 func (e *Extrapolator) Observations() int { return e.obs }
 
 // Project returns the extrapolated counter delta for a region that executed
-// totalInstructions instructions. Counters never observed remain Missing.
+// totalInstructions instructions. Counters never observed stay missing.
 func (e *Extrapolator) Project(totalInstructions int64) Set {
 	out := AllMissing()
 	if totalInstructions < 0 {
 		return out
 	}
-	out[Instructions] = totalInstructions
-	for i := range out {
-		id := ID(i)
-		if id == Instructions || e.nObs[i] == 0 {
+	out.Put(Instructions, totalInstructions)
+	for id := ID(0); id < NumIDs; id++ {
+		if id == Instructions || e.nObs[id] == 0 {
 			continue
 		}
-		meanRatio := e.sumRatio[i] / float64(e.nObs[i])
-		out[i] = int64(meanRatio * float64(totalInstructions))
+		meanRatio := e.sumRatio[id] / float64(e.nObs[id])
+		out.Put(id, int64(meanRatio*float64(totalInstructions)))
 	}
 	return out
 }

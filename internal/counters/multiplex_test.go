@@ -66,16 +66,16 @@ func TestExtrapolatorRecoversConstantRatios(t *testing.T) {
 	// rotating default groups, must be reconstructed exactly.
 	groups := DefaultGroups()
 	var full Set
-	full[Instructions] = 1_000_000
-	full[Cycles] = 2_000_000
-	full[L1DMisses] = 50_000
-	full[L2Misses] = 20_000
-	full[L3Misses] = 5_000
-	full[Loads] = 300_000
-	full[Stores] = 100_000
-	full[Branches] = 150_000
-	full[BranchMisses] = 3_000
-	full[FPOps] = 400_000
+	full.Put(Instructions, 1_000_000)
+	full.Put(Cycles, 2_000_000)
+	full.Put(L1DMisses, 50_000)
+	full.Put(L2Misses, 20_000)
+	full.Put(L3Misses, 5_000)
+	full.Put(Loads, 300_000)
+	full.Put(Stores, 100_000)
+	full.Put(Branches, 150_000)
+	full.Put(BranchMisses, 3_000)
+	full.Put(FPOps, 400_000)
 
 	var ex Extrapolator
 	for round := 0; round < 8; round++ {
@@ -85,14 +85,16 @@ func TestExtrapolatorRecoversConstantRatios(t *testing.T) {
 	if ex.Observations() != 8 {
 		t.Fatalf("Observations = %d, want 8", ex.Observations())
 	}
-	proj := ex.Project(10 * full[Instructions])
+	ins, _ := full.Get(Instructions)
+	proj := ex.Project(10 * ins)
 	for _, id := range AllIDs() {
 		got, ok := proj.Get(id)
 		if !ok {
 			t.Errorf("counter %v missing from projection", id)
 			continue
 		}
-		want := 10 * full[id]
+		v, _ := full.Get(id)
+		want := 10 * v
 		if math.Abs(float64(got-want)) > 1 { // integer truncation tolerance
 			t.Errorf("projected %v = %d, want %d", id, got, want)
 		}
@@ -103,7 +105,7 @@ func TestExtrapolatorIgnoresUnusableObservations(t *testing.T) {
 	var ex Extrapolator
 	ex.Observe(AllMissing()) // no instructions: ignored
 	var zeroIns Set
-	zeroIns[Instructions] = 0
+	zeroIns.Put(Instructions, 0)
 	ex.Observe(zeroIns) // zero instructions: ignored
 	if ex.Observations() != 0 {
 		t.Fatalf("unusable observations were counted: %d", ex.Observations())
@@ -122,8 +124,10 @@ func TestExtrapolatorMeanRatio(t *testing.T) {
 	var o1, o2 Set
 	o1 = AllMissing()
 	o2 = AllMissing()
-	o1[Instructions], o1[L1DMisses] = 1000, 10
-	o2[Instructions], o2[L1DMisses] = 1000, 30
+	o1.Put(Instructions, 1000)
+	o1.Put(L1DMisses, 10)
+	o2.Put(Instructions, 1000)
+	o2.Put(L1DMisses, 30)
 	ex.Observe(o1)
 	ex.Observe(o2)
 	r, ok := ex.MeanRatio(L1DMisses)

@@ -21,13 +21,13 @@ func TestExtrapolatorProperty(t *testing.T) {
 		for _, p := range picks {
 			g := groups[int(p)%len(groups)]
 			var full Set
-			full[Instructions] = ins
-			full[Cycles] = 2 * ins
+			full.Put(Instructions, ins)
+			full.Put(Cycles, 2*ins)
 			for id := ID(0); id < NumIDs; id++ {
 				if id == Instructions || id == Cycles {
 					continue
 				}
-				full[id] = int64(ratios[id] * float64(ins))
+				full.Put(id, int64(ratios[id]*float64(ins)))
 			}
 			ex.Observe(full.MaskedTo(g.IDs))
 		}
@@ -63,8 +63,8 @@ func TestExtrapolatorProperty(t *testing.T) {
 func TestMaskRoundtripProperty(t *testing.T) {
 	check := func(vals [NumIDs]int32, pick uint8) bool {
 		var s Set
-		for i := range s {
-			s[i] = int64(vals[i])
+		for i := ID(0); i < NumIDs; i++ {
+			s.Put(i, int64(vals[i]))
 		}
 		groups := DefaultGroups()
 		g := groups[int(pick)%len(groups)]

@@ -372,7 +372,7 @@ func sampleCountersAt(rd *trace.RankData, t sim.Time) (counters.Set, bool) {
 		if !ok1 || !ok2 {
 			continue
 		}
-		out[id] = va + int64(frac*float64(vb-va))
+		out.Put(id, va+int64(frac*float64(vb-va)))
 	}
 	return out, true
 }

@@ -119,9 +119,9 @@ func (f WrapCounters) String() string { return fmt.Sprintf("wrap=%d", f.Bits) }
 func (f WrapCounters) Apply(rng *rand.Rand, tr *trace.Trace) {
 	mod := int64(1) << f.Bits
 	wrapSet := func(s *counters.Set) {
-		for c := range s {
-			if s[c] != counters.Missing && s[c] >= mod {
-				s[c] %= mod
+		for c := counters.ID(0); c < counters.NumIDs; c++ {
+			if v, ok := s.Get(c); ok && v >= mod {
+				s.Put(c, v%mod)
 			}
 		}
 	}
@@ -200,9 +200,9 @@ func (f ZeroCounters) String() string { return fmt.Sprintf("zero=%g", f.Rate) }
 
 func (f ZeroCounters) Apply(rng *rand.Rand, tr *trace.Trace) {
 	zero := func(s *counters.Set) {
-		for c := range s {
-			if s[c] != counters.Missing {
-				s[c] = 0
+		for c := counters.ID(0); c < counters.NumIDs; c++ {
+			if _, ok := s.Get(c); ok {
+				s.Put(c, 0)
 			}
 		}
 	}
@@ -230,9 +230,9 @@ func (f GarbleCounters) String() string { return fmt.Sprintf("garble=%g", f.Rate
 
 func (f GarbleCounters) Apply(rng *rand.Rand, tr *trace.Trace) {
 	garble := func(s *counters.Set) {
-		for c := range s {
-			if s[c] != counters.Missing {
-				s[c] = rng.Int63() - rng.Int63()
+		for c := counters.ID(0); c < counters.NumIDs; c++ {
+			if _, ok := s.Get(c); ok {
+				s.Put(c, rng.Int63()-rng.Int63())
 			}
 		}
 	}

@@ -99,7 +99,7 @@ type Folded struct {
 	// normalized time convert to rates via TotalDelta and RepDuration.
 	RepDuration sim.Duration
 	// TotalDelta is the per-counter median delta across used bursts;
-	// counters never captured are Missing.
+	// counters never captured are missing.
 	TotalDelta counters.Set
 	// Points is the folded cloud per counter, sorted by X.
 	Points [counters.NumIDs][]Point
@@ -225,7 +225,7 @@ func FoldWith(project Projector, bursts []trace.Burst, label int, opt Options) (
 	f.TotalDelta = counters.AllMissing()
 	for id := counters.ID(0); id < counters.NumIDs; id++ {
 		if len(deltas[id]) > 0 {
-			f.TotalDelta[id] = int64(sim.Median(deltas[id]))
+			f.TotalDelta.Put(id, int64(sim.Median(deltas[id])))
 		}
 	}
 	sortClouds(f, sc)

@@ -22,7 +22,7 @@ func buildFoldingTrace(t *testing.T, nIters int, rate1, rate2 float64) (*trace.T
 	const burstDur = sim.Millisecond
 	ctrAt := func(insF float64) counters.Set {
 		s := counters.AllMissing()
-		s[counters.Instructions] = int64(insF)
+		s.Put(counters.Instructions, int64(insF))
 		return s
 	}
 	// insAt returns cumulative instructions at offset dt within a burst

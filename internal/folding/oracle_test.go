@@ -207,14 +207,14 @@ func genBursts(r *rand.Rand) ([]trace.Burst, [][]trace.Sample) {
 			if mux && id > counters.Instructions && int(id)%4 != i%4 {
 				continue
 			}
-			b.StartCtr[id] = int64(r.Intn(1000))
+			b.StartCtr.Put(id, int64(r.Intn(1000)))
 			switch r.Intn(12) {
 			case 0:
-				b.Delta[id] = 0
+				b.Delta.Put(id, 0)
 			case 1:
-				b.StartCtr[id] = counters.Missing
+				b.StartCtr.Drop(id)
 			default:
-				b.Delta[id] = int64(1 + r.Intn(5000))
+				b.Delta.Put(id, int64(1+r.Intn(5000)))
 			}
 		}
 		for k := r.Intn(20); k > 0; k-- {
@@ -223,9 +223,9 @@ func genBursts(r *rand.Rand) ([]trace.Burst, [][]trace.Sample) {
 				Counters: counters.AllMissing(),
 				Stack:    callstack.StackID(r.Intn(4)) - 1,
 			}
-			for id := range s.Counters {
-				if b.StartCtr[id] != counters.Missing && r.Intn(20) != 0 {
-					s.Counters[id] = b.StartCtr[id] + int64(r.Intn(6000)) - 100
+			for id := counters.ID(0); id < counters.NumIDs; id++ {
+				if base, ok := b.StartCtr.Get(id); ok && r.Intn(20) != 0 {
+					s.Counters.Put(id, base+int64(r.Intn(6000))-100)
 				}
 			}
 			samples[i] = append(samples[i], s)

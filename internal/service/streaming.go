@@ -121,9 +121,12 @@ func (a *streamAttempt) seal(copyErr error) {
 // result: the stream decoded without salvage repairs, the session finished,
 // and it dropped no rank (no "validate" diagnostic). Diagnostics of the
 // shared pipeline tail, such as a sparse folded cloud, do not disqualify
-// it: batch raises them identically. The streamed model is then the batch
-// path's, except where the session's weaker per-stream counter check lets
-// through a regression that batch masks (see stream.Session.feedEvent).
+// it: batch raises them identically. The session validates with batch's
+// record validator, counter monotonicity on the merged event+sample
+// timeline included. The daemon feeds ChunkReader's chunks in container
+// order (each rank's events before its samples), where that check is
+// exact, so any record batch would repair drops a rank here and the
+// streamed model is the batch path's.
 func (a *streamAttempt) pristine() bool {
 	if a.err != nil || a.model == nil || (a.report != nil && !a.report.Complete()) {
 		return false

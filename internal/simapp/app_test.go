@@ -193,7 +193,7 @@ func TestCommWrapsProbes(t *testing.T) {
 	}
 	// Comm must accumulate some (spin) instructions but far fewer than
 	// compute would.
-	ins := m.Counters()[counters.Instructions]
+	ins := ctrOf(m.Counters(), counters.Instructions)
 	if ins <= 0 || ins > 10_000*2 {
 		t.Fatalf("comm instructions = %d", ins)
 	}

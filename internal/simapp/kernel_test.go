@@ -34,7 +34,7 @@ func TestKernelDefineAndExec(t *testing.T) {
 	// instructions: 100us at IPC 1 + 300us at IPC 2 (at 2 GHz):
 	// 100e3ns*2 + 300e3ns*4 = 200e3+1200e3... per ns: IPC*2 instr.
 	want := int64(100_000*2 + 300_000*4)
-	if got := m.Counters()[counters.Instructions]; math.Abs(float64(got-want)) > 2 {
+	if got := ctrOf(m.Counters(), counters.Instructions); math.Abs(float64(got-want)) > 2 {
 		t.Fatalf("instructions %d, want %d", got, want)
 	}
 }

@@ -106,8 +106,8 @@ func (m *Machine) Exec(d sim.Duration, r Rates) {
 		}
 		dt := (t - t0).Seconds()
 		var s counters.Set
-		for i := range s {
-			s[i] = int64(m.accum[i] + r[i]*dt)
+		for id := counters.ID(0); id < counters.NumIDs; id++ {
+			s.Put(id, int64(m.accum[id]+r[id]*dt))
 		}
 		return s
 	}
@@ -124,8 +124,8 @@ func (m *Machine) Exec(d sim.Duration, r Rates) {
 // Counters returns the cumulative unmasked counter state.
 func (m *Machine) Counters() counters.Set {
 	var s counters.Set
-	for i := range s {
-		s[i] = int64(m.accum[i])
+	for id := counters.ID(0); id < counters.NumIDs; id++ {
+		s.Put(id, int64(m.accum[id]))
 	}
 	return s
 }

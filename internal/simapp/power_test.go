@@ -37,7 +37,7 @@ func TestMachineAccumulatesEnergy(t *testing.T) {
 	var r Rates
 	r[counters.Instructions] = 4e9 // IPC 2 at 2 GHz
 	m.Exec(sim.Millisecond, r)
-	e := m.Counters()[counters.Energy]
+	e := ctrOf(m.Counters(), counters.Energy)
 	// Default model: 15 + 9*2 = 33 W -> 33e9 nJ/s -> 33e6 nJ per ms.
 	want := DefaultPowerModel().EnergyRate(Rates{
 		counters.Instructions: 4e9, counters.Cycles: 2e9,
@@ -69,7 +69,7 @@ func TestEnergyMonotoneAcrossWorkloads(t *testing.T) {
 		var r Rates
 		r[counters.Instructions] = ipc * 2e9
 		m.Exec(sim.Millisecond, r)
-		return m.Counters()[counters.Energy]
+		return ctrOf(m.Counters(), counters.Energy)
 	}
 	if run(2.5) <= run(0.5) {
 		t.Fatal("energy not monotone in IPC")

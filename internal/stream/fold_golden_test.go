@@ -60,8 +60,12 @@ func foldedDigest(f *folding.Folded, stacks *callstack.Interner) string {
 	put(uint64(f.NumBursts))
 	put(uint64(f.UsedBursts))
 	put(uint64(f.RepDuration))
-	for id := range f.TotalDelta {
-		put(uint64(f.TotalDelta[id]))
+	for id := counters.ID(0); id < counters.NumIDs; id++ {
+		v, ok := f.TotalDelta.Get(id)
+		if !ok {
+			v = -1 // an uncaptured counter hashes as it always has
+		}
+		put(uint64(v))
 	}
 	for id := range f.Points {
 		put(uint64(len(f.Points[id])))

@@ -69,11 +69,12 @@ func (s *Session) Snapshot() *Snapshot {
 		return s.snap
 	}
 	s.maybeTrain()
-	if s.snap != nil && s.totalBursts-s.snapAt < s.opt.SnapshotEvery {
+	total := s.in.NumBursts()
+	if s.snap != nil && total-s.snapAt < s.opt.SnapshotEvery {
 		return s.snap
 	}
-	s.snap = s.computeSnapshot()
-	s.snapAt = s.totalBursts
+	s.snap = s.computeSnapshot(total)
+	s.snapAt = total
 	return s.snap
 }
 
@@ -81,10 +82,11 @@ func (s *Session) Snapshot() *Snapshot {
 // completed, and retrains it when the stream drifted away from it (the
 // re-cluster fallback: too many arriving bursts land as noise).
 func (s *Session) maybeTrain() {
-	retrain := s.assignor == nil && s.totalBursts >= s.opt.TrainAfter
+	total := s.in.NumBursts()
+	retrain := s.assignor == nil && total >= s.opt.TrainAfter
 	if s.assignor != nil && s.assigned >= 32 &&
 		float64(s.noise) > reclusterNoiseFrac*float64(s.assigned) &&
-		s.totalBursts >= 2*s.assignor.TrainedOn() {
+		total >= 2*s.assignor.TrainedOn() {
 		retrain = true
 	}
 	if !retrain {
@@ -93,10 +95,8 @@ func (s *Session) maybeTrain() {
 	// Train on copies: the training pass writes labels, and the authoritative
 	// relabelling of the session's own bursts goes through Assign below so
 	// every burst — trained-on or later — is labelled by the same rule.
-	pop := make([]trace.Burst, 0, s.totalBursts)
-	for r := range s.ranks {
-		pop = append(pop, s.ranks[r].bursts...)
-	}
+	pop := make([]trace.Burst, 0, total)
+	s.in.EachBurst(func(b *trace.Burst) { pop = append(pop, *b) })
 	if len(pop) == 0 {
 		return
 	}
@@ -106,24 +106,14 @@ func (s *Session) maybeTrain() {
 	}
 	s.assignor = a
 	s.assigned, s.noise = 0, 0
-	for r := range s.ranks {
-		rs := &s.ranks[r]
-		for i := range rs.bursts {
-			b := &rs.bursts[i]
-			b.Cluster = a.Assign(b)
-			s.assigned++
-			if b.Cluster == cluster.Noise {
-				s.noise++
-			}
-		}
-	}
+	s.in.EachBurst(s.assign)
 }
 
-func (s *Session) computeSnapshot() *Snapshot {
+func (s *Session) computeSnapshot(total int) *Snapshot {
 	snap := &Snapshot{
-		Bursts:   s.totalBursts,
-		Buffered: s.pendingTot,
-		Peak:     s.pendingPeak,
+		Bursts:   total,
+		Buffered: s.in.Buffered(),
+		Peak:     s.in.Peak(),
 	}
 	if s.assignor == nil {
 		return snap
@@ -133,27 +123,17 @@ func (s *Session) computeSnapshot() *Snapshot {
 	snap.Clusters = s.assignor.NumClusters()
 	snap.Noise = s.noise
 
-	// Assemble the provisional population and its clouds once; FoldWith
-	// selects each label's members from it.
-	var bursts []trace.Burst
-	clouds := make(map[folding.BurstKey]*folding.BurstCloud)
+	// Assemble the provisional population once; FoldWith selects each
+	// label's members from it.
+	bursts := make([]trace.Burst, 0, total)
 	labels := map[int]bool{}
-	for r := range s.ranks {
-		rs := &s.ranks[r]
-		if rs.dropped || rs.extractErr != nil {
-			continue
+	s.in.EachBurst(func(b *trace.Burst) {
+		bursts = append(bursts, *b)
+		if b.Cluster >= 0 {
+			labels[b.Cluster] = true
 		}
-		bursts = append(bursts, rs.bursts...)
-		for k, c := range rs.clouds {
-			clouds[k] = c
-		}
-		for i := range rs.bursts {
-			if l := rs.bursts[i].Cluster; l >= 0 {
-				labels[l] = true
-			}
-		}
-	}
-	project := folding.CloudProjector(clouds)
+	})
+	project := s.in.Projector()
 	order := make([]int, 0, len(labels))
 	for l := range labels {
 		order = append(order, l)

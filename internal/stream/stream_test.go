@@ -5,10 +5,12 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"phasefold/internal/callstack"
 	"phasefold/internal/core"
+	"phasefold/internal/counters"
 	"phasefold/internal/faults"
 	"phasefold/internal/sim"
 	"phasefold/internal/simapp"
@@ -191,4 +193,73 @@ func TestSessionCancellation(t *testing.T) {
 	if err := s.Feed(trace.Chunk{Rank: 0, Events: tr.Ranks[0].Events}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Feed after cancel: got %v", err)
 	}
+}
+
+// TestStreamDropsMergedTimelineRegression: a sample whose counter falls
+// below the preceding event's yet stays above the previous sample's breaks
+// monotonicity only on the merged event+sample timeline. Batch repairs it
+// (sanitize/counter-regress); the streamed session must not pass it as
+// pristine, so it drops the rank with a validate diagnostic and the
+// daemon's pristine gate sends the upload to the queue.
+func TestStreamDropsMergedTimelineRegression(t *testing.T) {
+	tr := genTrace(t, "multiphase", 100, 11)
+	rd := tr.Ranks[1]
+	damaged := -1
+	ei := 0
+	for k := 1; k < len(rd.Samples) && damaged < 0; k++ {
+		s := &rd.Samples[k]
+		for ei < len(rd.Events) && rd.Events[ei].Time <= s.Time {
+			ei++
+		}
+		if ei == 0 || rd.Events[ei-1].Time <= rd.Samples[k-1].Time {
+			continue // no event between this sample and the previous one
+		}
+		ev, ok1 := rd.Events[ei-1].Counters.Get(counters.Instructions)
+		prev, ok2 := rd.Samples[k-1].Counters.Get(counters.Instructions)
+		if _, ok3 := s.Counters.Get(counters.Instructions); ok1 && ok2 && ok3 && ev-1 > prev {
+			s.Counters.Put(counters.Instructions, ev-1)
+			damaged = k
+		}
+	}
+	if damaged < 0 {
+		t.Fatal("no rank-1 sample follows an event it could regress below")
+	}
+	opt := core.DefaultOptions()
+	batch, err := core.Analyze(context.Background(), tr, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hasDiagnostic(batch, "sanitize", "counter-regress") {
+		t.Fatalf("batch did not repair the regression: %v", batch.Diagnostics)
+	}
+
+	s := sessionFor(t, context.Background(), tr, Options{Core: opt})
+	for r, rd := range tr.Ranks {
+		if err := s.Feed(trace.Chunk{Rank: r, Events: rd.Events, Samples: rd.Samples}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	streamed, err := s.Done()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hasDiagnostic(streamed, "validate", "rank 1 sample") {
+		t.Fatalf("streamed session passed the regression (sample %d): %v", damaged, streamed.Diagnostics)
+	}
+	for _, b := range streamed.Bursts {
+		if b.Rank == 1 {
+			t.Fatal("the dropped rank's bursts reached the model")
+		}
+	}
+}
+
+// hasDiagnostic reports whether m carries a diagnostic of stage whose
+// message contains substr.
+func hasDiagnostic(m *core.Model, stage, substr string) bool {
+	for _, d := range m.Diagnostics {
+		if d.Stage == stage && strings.Contains(d.Message, substr) {
+			return true
+		}
+	}
+	return false
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"phasefold/internal/counters"
 	"phasefold/internal/sim"
 )
 
@@ -46,28 +47,41 @@ func ExtractRankBursts(rd *RankData, opt BurstOptions) ([]Burst, error) {
 	if rd == nil {
 		return nil, fmt.Errorf("%w: nil rank", ErrInvalid)
 	}
-	bursts, err := extractRank(rd, opt)
-	if err != nil {
+	x := NewExtractor(rd.Rank, opt)
+	for i := range rd.Events {
+		if err := x.Push(&rd.Events[i]); err != nil {
+			return nil, err
+		}
+	}
+	if err := x.Finish(); err != nil {
 		return nil, err
 	}
-	attachSamples(bursts, rd.Samples)
-	return bursts, nil
+	for i := range rd.Samples {
+		x.Link(&rd.Samples[i], nil)
+	}
+	return x.Bursts(), nil
 }
 
 type openBurst struct {
-	start   sim.Time
-	ctr     Event // probe snapshot at burst start
-	active  bool
-	region  int64
-	iterNum int64
+	start    sim.Time
+	startCtr counters.Set // probe snapshot at burst start
+	active   bool
+	region   int64
+	iterNum  int64
 }
 
-// Extractor derives computation bursts from one rank's event stream
-// incrementally: Push events in time order as they arrive, Drain completed
-// bursts whenever convenient, and Finish at end of stream. The batch path
-// (ExtractRankBursts) drives the same state machine over a whole stream in
-// one shot, so a chunked feed yields bit-identical bursts to a batch
-// extraction at any chunking.
+// Extractor derives computation bursts from one rank's event stream and
+// links the rank's samples to them, incrementally: Push events in time
+// order as they arrive, Link samples in time order, and Finish at end of
+// stream. The batch path (ExtractRankBursts) drives the same state machine
+// over a whole stream in one shot, so a chunked feed yields bit-identical
+// bursts and sample links at any chunking.
+//
+// A sample links to the burst whose [Start, End) holds its time; samples
+// outside every burst stay unlinked. Bursts carry the index of their first
+// sample in the rank's sample stream and the count of contiguous samples
+// inside them. A sample that may still belong to a burst that has not
+// closed yet is buffered (copied) until later events decide it.
 type Extractor struct {
 	rank      int32
 	opt       BurstOptions
@@ -77,7 +91,16 @@ type Extractor struct {
 	commDepth int
 	iterNum   int64
 	idx       int // events pushed so far (error-message event index)
+	lastTime  sim.Time
+	finished  bool
 	err       error
+
+	// Sample linking: cursor is the first burst still accepting samples,
+	// si the stream index of the next sample to place, pending the samples
+	// waiting for a burst to close.
+	cursor  int
+	si      int
+	pending []Sample
 }
 
 // NewExtractor returns an extractor for one rank's stream.
@@ -85,15 +108,15 @@ func NewExtractor(rank int32, opt BurstOptions) *Extractor {
 	return &Extractor{rank: rank, opt: opt, iterNum: -1}
 }
 
-func (x *Extractor) begin(e Event) {
+func (x *Extractor) begin(e *Event) {
 	region := int64(-1)
 	if n := len(x.regions); n > 0 {
 		region = x.regions[n-1]
 	}
-	x.open = openBurst{start: e.Time, ctr: e, active: true, region: region, iterNum: x.iterNum}
+	x.open = openBurst{start: e.Time, startCtr: e.Counters, active: true, region: region, iterNum: x.iterNum}
 }
 
-func (x *Extractor) end(e Event) {
+func (x *Extractor) end(e *Event) {
 	if !x.open.active {
 		return
 	}
@@ -111,8 +134,8 @@ func (x *Extractor) end(e Event) {
 		Start:    x.open.start,
 		End:      e.Time,
 		Iter:     x.open.iterNum,
-		StartCtr: x.open.ctr.Counters,
-		Delta:    e.Counters.Sub(x.open.ctr.Counters),
+		StartCtr: x.open.startCtr,
+		Delta:    e.Counters.Sub(x.open.startCtr),
 		Group:    e.Group,
 		Cluster:  ClusterNone,
 		FirstSmp: -1,
@@ -122,12 +145,13 @@ func (x *Extractor) end(e Event) {
 // Push feeds the next event of the stream. A malformed stream (unbalanced
 // region or communication nesting) returns an error; the error is sticky and
 // subsequent pushes return it unchanged.
-func (x *Extractor) Push(e Event) error {
+func (x *Extractor) Push(e *Event) error {
 	if x.err != nil {
 		return x.err
 	}
 	i := x.idx
 	x.idx++
+	x.lastTime = e.Time
 	switch e.Type {
 	case IterBegin:
 		x.iterNum = e.Value
@@ -180,24 +204,72 @@ func (x *Extractor) Push(e Event) error {
 	return nil
 }
 
-// OpenStart returns the start time of the currently open burst; ok is false
-// when no burst is open. The streaming sample linker uses it as the horizon
-// below which a pending sample can no longer belong to any future burst.
-func (x *Extractor) OpenStart() (sim.Time, bool) {
-	return x.open.start, x.open.active
+// Bursts returns the bursts completed so far, in start order. The slice is
+// the extractor's own: later Links may still add samples to its tail.
+func (x *Extractor) Bursts() []Burst { return x.bursts }
+
+// Pending returns how many samples wait for a burst to close.
+func (x *Extractor) Pending() int { return len(x.pending) }
+
+// Link places the next sample of the stream (samples in time order, and
+// after every event that precedes them). observe, when non-nil, sees each
+// sample as it links to its burst. A sample that a still-open burst may
+// claim is buffered; Relink retries the buffer after more events.
+func (x *Extractor) Link(s *Sample, observe func(*Burst, *Sample)) {
+	if x.Pending() > 0 || !x.place(s, observe) {
+		x.pending = append(x.pending, *s)
+	}
 }
 
-// Drain returns the bursts completed since the last Drain, in start order.
-// The returned slice is owned by the caller.
-func (x *Extractor) Drain() []Burst {
-	out := x.bursts
-	x.bursts = nil
-	return out
+// Relink retries the buffered samples against the bursts closed since.
+func (x *Extractor) Relink(observe func(*Burst, *Sample)) {
+	n := 0
+	for n < len(x.pending) && x.place(&x.pending[n], observe) {
+		n++
+	}
+	x.pending = x.pending[:copy(x.pending, x.pending[n:])]
+}
+
+// place settles s against the first burst still accepting samples: before
+// it, s can never link (skip it); inside, link it; at or past its end the
+// burst is final (streams are time-ordered), so move on. With no completed
+// burst left, s is skipped when it predates every burst the stream can
+// still produce — the open burst's start when one is open, else the last
+// event — or when the stream finished; otherwise it must wait.
+func (x *Extractor) place(s *Sample, observe func(*Burst, *Sample)) bool {
+	for ; x.cursor < len(x.bursts); x.cursor++ {
+		b := &x.bursts[x.cursor]
+		if s.Time < b.Start {
+			break
+		}
+		if s.Time < b.End {
+			if b.NumSmp == 0 {
+				b.FirstSmp = x.si
+			}
+			b.NumSmp++
+			if observe != nil {
+				observe(b, s)
+			}
+			x.si++
+			return true
+		}
+	}
+	if x.cursor == len(x.bursts) && !x.finished {
+		horizon := x.lastTime
+		if x.open.active {
+			horizon = x.open.start
+		}
+		if s.Time >= horizon {
+			return false
+		}
+	}
+	x.si++
+	return true
 }
 
 // Finish checks the end-of-stream invariants (no open communications or
-// regions). Any final open burst has no closing probe and is discarded, as
-// in batch extraction.
+// regions) and settles every buffered sample. Any final open burst has no
+// closing probe and is discarded, as in batch extraction.
 func (x *Extractor) Finish() error {
 	if x.err != nil {
 		return x.err
@@ -210,40 +282,9 @@ func (x *Extractor) Finish() error {
 		x.err = fmt.Errorf("trace: rank %d ends with %d open regions", x.rank, len(x.regions))
 		return x.err
 	}
+	x.finished = true
+	x.pending = nil // past every burst: they never link
 	return nil
-}
-
-func extractRank(rd *RankData, opt BurstOptions) ([]Burst, error) {
-	x := NewExtractor(rd.Rank, opt)
-	for _, e := range rd.Events {
-		if err := x.Push(e); err != nil {
-			return nil, err
-		}
-	}
-	if err := x.Finish(); err != nil {
-		return nil, err
-	}
-	return x.Drain(), nil
-}
-
-// attachSamples links each burst to the contiguous run of samples whose
-// timestamps fall inside it. Both inputs are time-sorted.
-func attachSamples(bursts []Burst, samples []Sample) {
-	si := 0
-	for bi := range bursts {
-		b := &bursts[bi]
-		for si < len(samples) && samples[si].Time < b.Start {
-			si++
-		}
-		first := si
-		for si < len(samples) && samples[si].Time < b.End {
-			si++
-		}
-		if si > first {
-			b.FirstSmp = first
-			b.NumSmp = si - first
-		}
-	}
 }
 
 // SortBursts orders bursts by (rank, start time), the canonical order the

@@ -18,7 +18,7 @@ func bigEncodedTrace(tb testing.TB) []byte {
 	base := tr.Ranks[0]
 	for i := 0; i < 200000; i++ {
 		ctr := counters.AllMissing()
-		ctr[counters.Instructions] = int64(100 + i)
+		ctr.Put(counters.Instructions, int64(100+i))
 		tr.AddSample(Sample{Time: 25, Rank: 0, Counters: ctr, Stack: base.Samples[0].Stack})
 	}
 	var buf bytes.Buffer

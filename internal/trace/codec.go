@@ -39,9 +39,15 @@ import (
 // section. The retired unframed "PFT1" layout is rejected as bad magic.
 //
 // Counter snapshots are encoded as a presence bitmap plus varint values so
-// multiplexed traces (mostly-Missing sets) stay small.
+// multiplexed traces (mostly-uncaptured sets) stay small.
 
 const binaryMagic = "PFT2"
+
+// missingValue is the value both codecs have always used for a counter that
+// was not captured: a captured -1 reads back as not captured, so files
+// written before Set carried its own presence mask decode unchanged. No
+// valid cumulative counter is negative.
+const missingValue = -1
 
 type stringWriter interface {
 	io.Writer
@@ -86,15 +92,10 @@ func (w *writer) bytes(b []byte) {
 }
 
 func (w *writer) counterSet(s counters.Set) {
-	var mask uint64
-	for i, v := range s {
-		if v != counters.Missing {
-			mask |= 1 << uint(i)
-		}
-	}
-	w.uvarint(mask)
-	for i, v := range s {
-		if mask&(1<<uint(i)) != 0 {
+	mask := s.Captured()
+	w.uvarint(uint64(mask))
+	for id := counters.ID(0); id < counters.NumIDs; id++ {
+		if v, ok := s.Get(id); ok {
 			w.varint(v)
 		}
 	}
@@ -280,9 +281,11 @@ func (r *reader) counterSet() counters.Set {
 		r.err = fmt.Errorf("%w: counter mask %#x has undefined bits", ErrCorrupt, mask)
 		return s
 	}
-	for i := 0; i < int(counters.NumIDs); i++ {
-		if mask&(1<<uint(i)) != 0 {
-			s[i] = r.varint()
+	for id := counters.ID(0); id < counters.NumIDs; id++ {
+		if mask&(1<<id) != 0 {
+			if v := r.varint(); v != missingValue {
+				s.Put(id, v)
+			}
 		}
 	}
 	return s

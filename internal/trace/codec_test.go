@@ -33,9 +33,9 @@ func randomTrace(t *testing.T, seed uint64, ranks, iters int) *Trace {
 		}
 		ctr := func() counters.Set {
 			s := counters.AllMissing()
-			s[counters.Instructions] = int64(now)
+			s.Put(counters.Instructions, int64(now))
 			if rng.Float64() < 0.8 {
-				s[counters.Cycles] = 2 * int64(now)
+				s.Put(counters.Cycles, 2*int64(now))
 			}
 			return s
 		}
@@ -212,8 +212,8 @@ func TestCounterFieldFormat(t *testing.T) {
 	if got := formatCounters(s); got != "-" {
 		t.Fatalf("all-missing renders %q", got)
 	}
-	s[counters.Instructions] = 5
-	s[counters.FPOps] = -3 // negative values are legal (deltas)
+	s.Put(counters.Instructions, 5)
+	s.Put(counters.FPOps, -3) // negative values are legal (deltas)
 	field := formatCounters(s)
 	back, err := parseCounters(field)
 	if err != nil {

@@ -57,11 +57,11 @@ func goldenTrace(t *testing.T, seed uint64) *trace.Trace {
 		}
 		ctr := func(group uint8) counters.Set {
 			s := counters.AllMissing()
-			s[counters.Instructions] = ins
+			s.Put(counters.Instructions, ins)
 			if group == 0 {
-				s[counters.Cycles] = 2 * ins
+				s.Put(counters.Cycles, 2*ins)
 			} else {
-				s[counters.L1DMisses] = ins / 7
+				s.Put(counters.L1DMisses, ins/7)
 			}
 			return s
 		}

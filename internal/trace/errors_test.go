@@ -90,16 +90,16 @@ func TestValidateErrorsWrapSentinel(t *testing.T) {
 		{"negative counter", "negative", func() *Trace {
 			tr := New("x", 1, nil, nil)
 			c := counters.AllMissing()
-			c[counters.Instructions] = -5
+			c.Put(counters.Instructions, -5)
 			tr.AddSample(Sample{Time: 1, Stack: callstack.NoStack, Counters: c})
 			return tr
 		}},
 		{"counter regression", "regresses", func() *Trace {
 			tr := New("x", 1, nil, nil)
 			hi := counters.AllMissing()
-			hi[counters.Instructions] = 100
+			hi.Put(counters.Instructions, 100)
 			lo := counters.AllMissing()
-			lo[counters.Instructions] = 40
+			lo.Put(counters.Instructions, 40)
 			tr.AddSample(Sample{Time: 1, Stack: callstack.NoStack, Counters: hi})
 			tr.AddSample(Sample{Time: 2, Stack: callstack.NoStack, Counters: lo})
 			return tr
@@ -134,9 +134,9 @@ func TestValidateRankOutOfRange(t *testing.T) {
 func TestValidateCountersAcrossStreams(t *testing.T) {
 	tr := New("x", 1, nil, nil)
 	hi := counters.AllMissing()
-	hi[counters.Instructions] = 100
+	hi.Put(counters.Instructions, 100)
 	lo := counters.AllMissing()
-	lo[counters.Instructions] = 40
+	lo.Put(counters.Instructions, 40)
 	tr.AddSample(Sample{Time: 1, Stack: callstack.NoStack, Counters: hi})
 	tr.AddEvent(Event{Time: 2, Type: IterBegin, Counters: lo})
 	if err := tr.Validate(); !errors.Is(err, ErrInvalid) {
@@ -158,20 +158,20 @@ func TestSanitizeMasksOutlierNotTail(t *testing.T) {
 	vals := []int64{10, 20, 1 << 60, 30, 40, 50}
 	for i, v := range vals {
 		c := counters.AllMissing()
-		c[counters.Instructions] = v
+		c.Put(counters.Instructions, v)
 		tr.AddSample(Sample{Time: sim.Time(i + 1), Stack: callstack.NoStack, Counters: c})
 	}
 	tr.Sanitize()
 	masked := 0
 	for _, s := range tr.Ranks[0].Samples {
-		if s.Counters[counters.Instructions] == counters.Missing {
+		if _, ok := s.Counters.Get(counters.Instructions); !ok {
 			masked++
 		}
 	}
 	if masked != 1 {
 		t.Fatalf("masked %d values, want exactly the one outlier", masked)
 	}
-	if tr.Ranks[0].Samples[2].Counters[counters.Instructions] != counters.Missing {
+	if _, ok := tr.Ranks[0].Samples[2].Counters.Get(counters.Instructions); ok {
 		t.Fatal("the outlier itself survived")
 	}
 }

@@ -26,10 +26,10 @@ func fuzzSeedTrace(tb testing.TB) *Trace {
 	st := tr.Stacks.Intern(callstack.Stack{{Routine: rt, Line: 3}})
 	for r := int32(0); r < 2; r++ {
 		ctr := counters.AllMissing()
-		ctr[counters.Instructions] = 100
+		ctr.Put(counters.Instructions, 100)
 		tr.AddEvent(Event{Time: 10, Rank: r, Type: IterBegin, Counters: ctr})
 		tr.AddEvent(Event{Time: 20, Rank: r, Type: RegionEnter, Value: 7, Counters: counters.AllMissing()})
-		ctr[counters.Instructions] = 900
+		ctr.Put(counters.Instructions, 900)
 		tr.AddSample(Sample{Time: 25, Rank: r, Counters: ctr, Stack: st})
 		tr.AddEvent(Event{Time: 30, Rank: r, Type: RegionExit, Value: 7, Counters: counters.AllMissing()})
 	}

@@ -51,14 +51,14 @@ func (t EventType) Valid() bool { return t < numEventTypes }
 
 // Event is one instrumentation record. The tracing runtime reads the active
 // counter group at every probe, so events carry a cumulative counter
-// snapshot; counters outside the active multiplex group are Missing.
+// snapshot; counters outside the active multiplex group are not captured.
 type Event struct {
 	Time     sim.Time
 	Rank     int32
 	Type     EventType
+	Group    uint8 // multiplex group index active when the probe fired
 	Value    int64
 	Counters counters.Set
-	Group    uint8 // multiplex group index active when the probe fired
 }
 
 // Sample is one coarse-grain sampling record: a timestamp, the cumulative
@@ -76,16 +76,16 @@ type Sample struct {
 // Bursts are the unit the structure-detection clustering works on.
 type Burst struct {
 	Rank     int32
+	Group    uint8 // multiplex group active during the burst
 	Region   int64 // instrumented region id, or -1 when delimited only by communication
 	Start    sim.Time
 	End      sim.Time
 	Iter     int64        // main-loop iteration the burst belongs to, or -1
 	StartCtr counters.Set // cumulative counter snapshot at Start (masked to Group)
 	Delta    counters.Set
-	Group    uint8 // multiplex group active during the burst
-	Cluster  int   // cluster assigned by structure detection; ClusterNone before
-	FirstSmp int   // index of first sample inside the burst (into Trace.Samples of the rank); -1 if none
-	NumSmp   int   // number of samples inside the burst
+	Cluster  int // cluster assigned by structure detection; ClusterNone before
+	FirstSmp int // index of first sample inside the burst (into Trace.Samples of the rank); -1 if none
+	NumSmp   int // number of samples inside the burst
 }
 
 // ClusterNone marks a burst not yet assigned to any cluster; cluster.Noise

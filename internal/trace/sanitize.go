@@ -52,7 +52,7 @@ func (p Problem) String() string {
 // re-sorted into time order; exact duplicate records are dropped; unmatched
 // region/communication enter and exit events are dropped until the nesting
 // balances; cumulative counter values that regress (counter wrap, zeroed or
-// garbled values) are masked to Missing; unresolvable call-stack references
+// garbled values) are masked as not captured; unresolvable call-stack references
 // are cleared. A pristine trace is untouched and reports no problems.
 func (t *Trace) Sanitize() []Problem {
 	var probs []Problem
@@ -263,7 +263,7 @@ func repairNesting(rd *RankData) int {
 // maskCounterRegressions restores per-counter monotonicity along the rank's
 // merged event+sample timeline by masking the minimal set of values: for
 // each counter it keeps the longest non-decreasing subsequence of captured
-// values and masks the rest to Missing. The subsequence criterion matters —
+// values and masks the rest as not captured. The subsequence criterion matters —
 // a greedy "mask anything below the running max" pass would let one garbled
 // huge value poison every legitimate value after it, turning a 2% corruption
 // rate into a near-total data loss.
@@ -287,12 +287,12 @@ func maskCounterRegressions(rd *RankData) int {
 	for c := counters.ID(0); c < counters.NumIDs; c++ {
 		idxs, vals = idxs[:0], vals[:0]
 		for i, s := range sets {
-			v := s[c]
-			if v == counters.Missing {
+			v, ok := s.Get(c)
+			if !ok {
 				continue
 			}
 			if v < 0 { // no valid cumulative counter is negative
-				s[c] = counters.Missing
+				s.Drop(c)
 				masked++
 				continue
 			}
@@ -300,7 +300,7 @@ func maskCounterRegressions(rd *RankData) int {
 			vals = append(vals, v)
 		}
 		for _, i := range maskOutsideLNDS(vals, idxs) {
-			sets[i][c] = counters.Missing
+			sets[i].Drop(c)
 			masked++
 		}
 	}

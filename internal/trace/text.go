@@ -31,15 +31,16 @@ const textMagic = "#PFTEXT1"
 func formatCounters(s counters.Set) string {
 	var b strings.Builder
 	first := true
-	for i, v := range s {
-		if v == counters.Missing {
+	for id := counters.ID(0); id < counters.NumIDs; id++ {
+		v, ok := s.Get(id)
+		if !ok {
 			continue
 		}
 		if !first {
 			b.WriteByte(',')
 		}
 		first = false
-		fmt.Fprintf(&b, "%d=%d", i, v)
+		fmt.Fprintf(&b, "%d=%d", id, v)
 	}
 	if first {
 		return "-"
@@ -65,7 +66,11 @@ func parseCounters(field string) (counters.Set, error) {
 		if err != nil {
 			return s, fmt.Errorf("trace: bad counter value in %q", pair)
 		}
-		s[id] = v
+		if v == missingValue {
+			s.Drop(counters.ID(id))
+		} else {
+			s.Put(counters.ID(id), v)
+		}
 	}
 	return s, nil
 }

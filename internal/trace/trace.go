@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"phasefold/internal/callstack"
-	"phasefold/internal/counters"
 	"phasefold/internal/sim"
 )
 
@@ -161,110 +160,31 @@ func (t *Trace) Validate() error {
 // healthy ranks of a partially damaged trace. The returned error wraps
 // ErrInvalid.
 func (t *Trace) ValidateRank(r int) error {
+	rd, err := t.RankSlot(r)
+	if err != nil {
+		return err
+	}
+	v := NewRankValidator(r, t.Stacks)
+	v.Events(rd.Events)
+	v.Samples(rd.Samples)
+	return v.Finish()
+}
+
+// RankSlot returns the records in rank slot r, or the ErrInvalid error
+// ValidateRank reports for a slot that is out of range, empty, or holds
+// another rank's records.
+func (t *Trace) RankSlot(r int) (*RankData, error) {
 	if r < 0 || r >= len(t.Ranks) {
-		return fmt.Errorf("%w: rank %d out of range [0,%d)", ErrInvalid, r, len(t.Ranks))
+		return nil, fmt.Errorf("%w: rank %d out of range [0,%d)", ErrInvalid, r, len(t.Ranks))
 	}
 	rd := t.Ranks[r]
 	if rd == nil {
-		return fmt.Errorf("%w: rank %d missing", ErrInvalid, r)
+		return nil, fmt.Errorf("%w: rank %d missing", ErrInvalid, r)
 	}
 	if int(rd.Rank) != r {
-		return fmt.Errorf("%w: rank slot %d holds rank %d", ErrInvalid, r, rd.Rank)
+		return nil, fmt.Errorf("%w: rank slot %d holds rank %d", ErrInvalid, r, rd.Rank)
 	}
-	var prev sim.Time
-	depthRegion, depthComm := 0, 0
-	for i, e := range rd.Events {
-		if e.Time < prev {
-			return fmt.Errorf("%w: rank %d event %d out of order (%d after %d)", ErrInvalid, r, i, e.Time, prev)
-		}
-		prev = e.Time
-		if int(e.Rank) != r {
-			return fmt.Errorf("%w: rank %d event %d carries rank %d", ErrInvalid, r, i, e.Rank)
-		}
-		if !e.Type.Valid() {
-			return fmt.Errorf("%w: rank %d event %d has invalid type %d", ErrInvalid, r, i, e.Type)
-		}
-		switch e.Type {
-		case RegionEnter:
-			depthRegion++
-		case RegionExit:
-			depthRegion--
-			if depthRegion < 0 {
-				return fmt.Errorf("%w: rank %d event %d: region exit without enter", ErrInvalid, r, i)
-			}
-		case CommEnter:
-			depthComm++
-		case CommExit:
-			depthComm--
-			if depthComm < 0 {
-				return fmt.Errorf("%w: rank %d event %d: comm exit without enter", ErrInvalid, r, i)
-			}
-		}
-	}
-	if depthRegion != 0 {
-		return fmt.Errorf("%w: rank %d has %d unclosed regions", ErrInvalid, r, depthRegion)
-	}
-	if depthComm != 0 {
-		return fmt.Errorf("%w: rank %d has %d unclosed comms", ErrInvalid, r, depthComm)
-	}
-	prev = 0
-	for i, s := range rd.Samples {
-		if s.Time < prev {
-			return fmt.Errorf("%w: rank %d sample %d out of order", ErrInvalid, r, i)
-		}
-		prev = s.Time
-		if int(s.Rank) != r {
-			return fmt.Errorf("%w: rank %d sample %d carries rank %d", ErrInvalid, r, i, s.Rank)
-		}
-		if s.Stack != callstack.NoStack {
-			if _, ok := t.Stacks.Get(s.Stack); !ok {
-				return fmt.Errorf("%w: rank %d sample %d references unknown stack %d", ErrInvalid, r, i, s.Stack)
-			}
-		}
-	}
-	return validateCounterMonotone(rd, r)
-}
-
-// validateCounterMonotone checks that every captured cumulative counter is
-// non-decreasing along the rank's merged event+sample timeline — the PMU
-// invariant that counter wrap, zeroed reads, and reordered payloads all
-// break.
-func validateCounterMonotone(rd *RankData, r int) error {
-	var last [counters.NumIDs]int64
-	var seen [counters.NumIDs]bool
-	check := func(what string, i int, s *counters.Set) error {
-		for c := range s {
-			v := s[c]
-			if v == counters.Missing {
-				continue
-			}
-			if v < 0 {
-				return fmt.Errorf("%w: rank %d %s %d: counter %d negative (%d)", ErrInvalid, r, what, i, c, v)
-			}
-			if seen[c] && v < last[c] {
-				return fmt.Errorf("%w: rank %d %s %d: counter %d regresses (%d after %d)", ErrInvalid, r, what, i, c, v, last[c])
-			}
-			last[c] = v
-			seen[c] = true
-		}
-		return nil
-	}
-	ei, si := 0, 0
-	for ei < len(rd.Events) || si < len(rd.Samples) {
-		haveE, haveS := ei < len(rd.Events), si < len(rd.Samples)
-		if haveE && (!haveS || rd.Events[ei].Time <= rd.Samples[si].Time) {
-			if err := check("event", ei, &rd.Events[ei].Counters); err != nil {
-				return err
-			}
-			ei++
-		} else {
-			if err := check("sample", si, &rd.Samples[si].Counters); err != nil {
-				return err
-			}
-			si++
-		}
-	}
-	return nil
+	return rd, nil
 }
 
 // Clone returns a deep copy of the trace's per-rank record streams. The

@@ -11,8 +11,8 @@ import (
 
 func ctrAt(ins int64) counters.Set {
 	s := counters.AllMissing()
-	s[counters.Instructions] = ins
-	s[counters.Cycles] = 2 * ins
+	s.Put(counters.Instructions, ins)
+	s.Put(counters.Cycles, 2*ins)
 	return s
 }
 

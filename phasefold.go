@@ -247,8 +247,10 @@ func WithParallelism(n int) Option {
 // WithWindow caps how many records a streaming Session may buffer — the
 // samples that cannot attach to a computation burst yet. A Feed that would
 // exceed the window fails with ErrWindow, bounding the session's memory on
-// pathological streams. Zero (the default) uses the engine's default
-// window. Batch entry points ignore it.
+// pathological streams. The events a rank's counter check holds until its
+// samples pass them (in container order, up to one rank's event section)
+// are not counted. Zero (the default) uses the engine's default window.
+// Batch entry points ignore it.
 func WithWindow(records int) Option {
 	return func(s *settings) { s.window = records }
 }
@@ -516,8 +518,10 @@ func (s *Session) Open(hdr StreamHeader) error {
 
 // Feed hands the session one batch of records for a single rank. The session
 // must have been bound with Open first. Records are analyzed immediately;
-// only samples that may still attach to an unfinished burst stay buffered,
-// and exceeding the configured window fails the session with ErrWindow.
+// samples that may still attach to an unfinished burst stay buffered, and
+// exceeding the configured window fails the session with ErrWindow. The
+// session takes ownership of the chunk: a rank's events are kept until its
+// samples pass them, so the caller must not modify them afterwards.
 func (s *Session) Feed(c Chunk) error {
 	s.mu.Lock()
 	inner := s.inner
@@ -561,10 +565,11 @@ func (s *Session) Consume(r io.Reader) error {
 // state transitions.
 const streamChunkRecords = 4096
 
-// FeedTrace streams a resident trace through the session — the in-memory
-// driver over the same engine, mostly useful to reuse streaming snapshots
-// on already-decoded data. Done afterwards returns exactly what batch
-// Analyze over tr returns.
+// FeedTrace streams a resident trace through the session — the front half
+// batch Analyze runs, fanned out over WithParallelism workers, mostly
+// useful to reuse streaming snapshots on already-decoded data. Done
+// afterwards returns exactly what batch Analyze over tr returns, repairs
+// of a damaged trace included.
 func (s *Session) FeedTrace(tr *Trace) error {
 	s.mu.Lock()
 	if s.inner == nil {
