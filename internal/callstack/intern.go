@@ -18,7 +18,9 @@ const NoStack StackID = -1
 type Interner struct {
 	seed   uint64
 	stacks []Stack
+	frames []Frame // the stacks' frames back to back; each stack is a window
 	index  map[uint64][]StackID
+	ids    []StackID // ids[i] == i; a one-stack bucket is a window into it
 }
 
 // NewInterner returns an empty interner.
@@ -50,17 +52,31 @@ func mix(x uint64) uint64 {
 }
 
 // Intern registers the stack (copying it) and returns its identifier.
-// Interning an identical stack returns the existing identifier.
+// Interning an identical stack returns the existing identifier. The copy
+// goes into frames, so a table of thousands of stacks costs a few growing
+// allocations rather than one each; every stored stack is capacity-limited,
+// and windows into a grown-out array stay valid.
 func (in *Interner) Intern(s Stack) StackID {
 	h := in.hash(s)
-	for _, id := range in.index[h] {
+	bucket := in.index[h]
+	for _, id := range bucket {
 		if in.stacks[id].Equal(s) {
 			return id
 		}
 	}
 	id := StackID(len(in.stacks))
-	in.stacks = append(in.stacks, s.Clone())
-	in.index[h] = append(in.index[h], id)
+	start := len(in.frames)
+	in.frames = append(in.frames, s...)
+	in.stacks = append(in.stacks, in.frames[start:len(in.frames):len(in.frames)])
+	in.ids = append(in.ids, id)
+	if len(bucket) == 0 {
+		// Most buckets hold one stack: share ids' storage instead of
+		// allocating a slice per stack. The capacity limit makes a
+		// colliding stack's append copy the bucket out.
+		in.index[h] = in.ids[id : id+1 : id+1]
+	} else {
+		in.index[h] = append(bucket, id)
+	}
 	return id
 }
 

@@ -1,12 +1,12 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"phasefold/internal/callstack"
 	"phasefold/internal/sim"
@@ -27,11 +27,12 @@ func (c *Chunk) Records() int { return len(c.Events) + len(c.Samples) }
 // ChunkReader is the binary trace parser: the header (app name, symbol and
 // stack tables, rank count) is decoded eagerly by NewChunkReader, and Next
 // then yields bounded record chunks without ever materializing a whole rank
-// section as records. Only the current section's undecoded bytes are
-// buffered, so memory stays bounded by the chunk limit plus the codec's I/O
-// buffers — this is the reader behind Stream sessions analyzing traces
-// larger than memory. Decode drives the same header, section and record
-// code, so both produce bit-identical records.
+// section as records. The stream is read through one 64 KiB window and the
+// current section through a 4 KiB window refilled from it, so memory stays
+// bounded by the chunk limit plus those windows — this is the reader behind
+// Stream sessions analyzing traces larger than memory. Decode drives the
+// same header, section and record code, so both produce bit-identical
+// records.
 //
 // Salvage mode keeps every record decoded before a damage point; a damaged
 // section is skipped via its length prefix and later ranks still decode.
@@ -41,7 +42,7 @@ func (c *Chunk) Records() int { return len(c.Events) + len(c.Samples) }
 type ChunkReader struct {
 	ctx      context.Context
 	opt      DecodeOptions
-	outer    *bufio.Reader
+	in       reader // the stream: header, section prefixes, section bytes
 	app      string
 	syms     *callstack.SymbolTable
 	stacks   *callstack.Interner
@@ -49,14 +50,22 @@ type ChunkReader struct {
 	nRanks   int
 
 	section *io.LimitedReader // the current rank's section bytes (streamed reads only)
-	secBuf  *bufio.Reader
-	cur     *rankDecoder // the current rank's record loop; nil between sections
-	rank    int          // current rank; nRanks when exhausted
+	secWin  []byte            // the streamed section's window, reused across ranks
+	cur     *rankDecoder      // the current rank's record loop; nil between sections
+	rank    int               // current rank; nRanks when exhausted
 
 	counts []recordCount // per rank: records yielded
 	log    salvageLog
 	done   bool
 }
+
+// The window sizes: the whole stream's (header, section prefixes, and the
+// bytes sliced or streamed off it), and a streamed section's, refilled from
+// the stream's.
+const (
+	streamWindow  = 1 << 16
+	sectionWindow = 1 << 12
+)
 
 // recordCount is how many records of one rank survived a read.
 type recordCount struct{ events, samples int }
@@ -68,9 +77,10 @@ func NewChunkReader(ctx context.Context, rd io.Reader, opt DecodeOptions) (*Chun
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	outer := bufio.NewReaderSize(rd, 1<<16)
+	cr := &ChunkReader{ctx: ctx, opt: opt, log: salvageLog{salvage: opt.Salvage}}
+	cr.in = streamReader(ctx, rd, make([]byte, 0, streamWindow))
 	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(outer, magic); err != nil {
+	if _, err := io.ReadFull(&cr.in, magic); err != nil {
 		return nil, fmt.Errorf("reading magic: %w", classifyRead(err))
 	}
 	if string(magic) != binaryMagic {
@@ -80,7 +90,6 @@ func NewChunkReader(ctx context.Context, rd io.Reader, opt DecodeOptions) (*Chun
 		}
 		return nil, fmt.Errorf("%w: %q", ErrBadMagic, magic)
 	}
-	cr := &ChunkReader{ctx: ctx, opt: opt, outer: outer, log: salvageLog{salvage: opt.Salvage}}
 	if err := cr.decodeHeader(); err != nil {
 		return nil, err
 	}
@@ -92,7 +101,7 @@ func NewChunkReader(ctx context.Context, rd io.Reader, opt DecodeOptions) (*Chun
 // table, stack table, and the rank count. Header damage is never
 // salvageable — the tables interpret every record downstream.
 func (cr *ChunkReader) decodeHeader() error {
-	r := &reader{r: cr.outer, ctx: cr.ctx}
+	r := &cr.in
 	cr.app = r.str()
 	cr.syms = callstack.NewSymbolTable()
 	nRoutines := r.count("routine", maxTableCount)
@@ -116,12 +125,13 @@ func (cr *ChunkReader) decodeHeader() error {
 	cr.stacks = callstack.NewInterner()
 	nStacks := r.count("stack", maxTableCount)
 	cr.stackIDs = make([]callstack.StackID, 0, min(nStacks, 1<<16))
+	var st callstack.Stack // scratch: Intern keeps a copy
 	for i := 0; i < nStacks && r.poll(); i++ {
 		nf := r.count("frame", maxStackFrames)
 		if r.err != nil {
 			break
 		}
-		st := make(callstack.Stack, 0, min(nf, 64))
+		st = st[:0]
 		for j := 0; j < nf && r.err == nil; j++ {
 			st = append(st, callstack.Frame{
 				Routine: callstack.RoutineID(r.varint()),
@@ -177,7 +187,7 @@ func (cr *ChunkReader) Report() *SalvageReport {
 
 // sectionLen reads the next rank's section length prefix.
 func (cr *ChunkReader) sectionLen() (int64, error) {
-	r := &reader{r: cr.outer, ctx: cr.ctx}
+	r := &cr.in
 	n := r.uvarint()
 	if r.err != nil {
 		return 0, r.err
@@ -201,7 +211,7 @@ func (cr *ChunkReader) sliceSection() (buf *bytes.Buffer, missing int64, err err
 		return nil, 0, err
 	}
 	buf = getSectionBuf()
-	m, err := buf.ReadFrom(io.LimitReader(cr.outer, n))
+	m, err := buf.ReadFrom(io.LimitReader(&cr.in, n))
 	if err == nil && m < n {
 		err = io.ErrUnexpectedEOF
 	}
@@ -210,14 +220,12 @@ func (cr *ChunkReader) sliceSection() (buf *bytes.Buffer, missing int64, err err
 }
 
 // sectionDecoder starts the record loop over a section sliceSection
-// copied. Call it on the goroutine that drains the section: the reader's
-// position is written per byte, and readers of different ranks allocated
-// side by side would share cache lines across workers.
+// copied, the section's bytes being the reader's window. Call it on the
+// goroutine that drains the section: the reader's position is written per
+// varint, and readers of different ranks allocated side by side would
+// share cache lines across workers.
 func (cr *ChunkReader) sectionDecoder(rank int, buf *bytes.Buffer, missing int64) *rankDecoder {
-	d := &rankDecoder{cr: cr, rank: rank, sliced: true, missing: missing}
-	d.src.Reset(buf.Bytes())
-	d.r = reader{r: &d.src, ctx: cr.ctx}
-	return d
+	return &rankDecoder{r: slicedReader(cr.ctx, buf.Bytes()), cr: cr, rank: rank, missing: missing}
 }
 
 // rankDecoder is the record loop of one rank section — event count, events,
@@ -226,8 +234,6 @@ func (cr *ChunkReader) sectionDecoder(rank int, buf *bytes.Buffer, missing int64
 type rankDecoder struct {
 	r        reader
 	cr       *ChunkReader // header tables and options; read-only here
-	sliced   bool         // the section was copied off the stream into bytes
-	src      bytes.Reader // the sliced section
 	missing  int64        // declared bytes a cut stream never delivered (sliced)
 	rank     int
 	phase    int // 0 = event count, 1 = events, 2 = samples
@@ -239,17 +245,19 @@ type rankDecoder struct {
 // unread returns how many of the section's declared bytes the records have
 // not consumed.
 func (d *rankDecoder) unread() int64 {
-	if d.sliced {
-		return int64(d.src.Len()) + d.missing
+	rest := int64(len(d.r.buf) - d.r.off)
+	if d.r.src == nil { // sliced off the stream
+		return rest + d.missing
 	}
-	return int64(d.cr.secBuf.Buffered()) + d.cr.section.N
+	return rest + d.cr.section.N
 }
 
 // next appends up to limit records of the section to c, sizing an empty
-// destination from the decoded counts (at most 1<<20 records up front). It
-// reports whether the section is finished, after checking its framing. On
-// error the records decoded before the damage stay in c — that prefix is
-// exactly what salvage keeps.
+// destination from the decoded counts (at most 1<<20 records up front) and
+// decoding each record in place in its slot. It reports whether the
+// section is finished, after checking its framing. On error the records
+// decoded before the damage stay in c — that prefix is exactly what
+// salvage keeps.
 func (d *rankDecoder) next(c *Chunk, limit int) (bool, error) {
 	r := &d.r
 	for limit > 0 {
@@ -267,11 +275,11 @@ func (d *rankDecoder) next(c *Chunk, limit int) (bool, error) {
 			}
 			n := min(d.left, limit)
 			for range n {
-				e, ok := d.event()
-				if !ok {
+				var e *Event
+				if c.Events, e = extend(c.Events); !d.event(e) {
+					c.Events = c.Events[:len(c.Events)-1]
 					return false, r.err
 				}
-				c.Events = append(c.Events, e)
 			}
 			d.left -= n
 			limit -= n
@@ -290,11 +298,11 @@ func (d *rankDecoder) next(c *Chunk, limit int) (bool, error) {
 			}
 			n := min(d.left, limit)
 			for range n {
-				s, ok := d.sample()
-				if !ok {
+				var s *Sample
+				if c.Samples, s = extend(c.Samples); !d.sample(s) {
+					c.Samples = c.Samples[:len(c.Samples)-1]
 					return false, r.err
 				}
-				c.Samples = append(c.Samples, s)
 			}
 			d.left -= n
 			limit -= n
@@ -305,7 +313,7 @@ func (d *rankDecoder) next(c *Chunk, limit int) (bool, error) {
 			// disagree — unless the stream ended inside the section,
 			// which is truncation whichever reader sees it.
 			if rest := d.unread(); rest > 0 {
-				if n, _ := io.CopyN(io.Discard, r.r, rest); n < rest {
+				if n, _ := io.CopyN(io.Discard, r, rest); n < rest {
 					return false, io.ErrUnexpectedEOF
 				}
 				return false, fmt.Errorf("%w: rank %d section carries %d trailing bytes", ErrCorrupt, d.rank, rest)
@@ -316,32 +324,40 @@ func (d *rankDecoder) next(c *Chunk, limit int) (bool, error) {
 	return false, nil
 }
 
-// event reads one event record. ok is false on a reader error or
-// cancellation; the partially-read record must then be discarded.
-func (d *rankDecoder) event() (Event, bool) {
-	r := &d.r
-	if !r.poll() {
-		return Event{}, false
+// extend lengthens s by one slot, growing it as append would, and returns
+// the slot for a record to be decoded into.
+func extend[T any](s []T) ([]T, *T) {
+	if len(s) == cap(s) {
+		s = slices.Grow(s, 1)
 	}
-	d.prev += sim.Time(r.uvarint())
-	e := Event{
-		Time:     d.prev,
-		Rank:     int32(d.rank),
-		Type:     EventType(r.uvarint()),
-		Value:    r.varint(),
-		Group:    uint8(r.uvarint()),
-		Counters: r.counterSet(),
-	}
-	return e, r.err == nil
+	s = s[:len(s)+1]
+	return s, &s[len(s)-1]
 }
 
-// sample reads one sample record, mapping its stack reference through the
-// header's stack table. A dangling reference is an error in strict mode and
-// is cleared (and counted) in salvage mode.
-func (d *rankDecoder) sample() (Sample, bool) {
+// event reads one event record into e. It returns false on a reader error
+// or cancellation; the partially-read record must then be discarded.
+func (d *rankDecoder) event(e *Event) bool {
 	r := &d.r
 	if !r.poll() {
-		return Sample{}, false
+		return false
+	}
+	d.prev += sim.Time(r.uvarint())
+	e.Time = d.prev
+	e.Rank = int32(d.rank)
+	e.Type = EventType(r.uvarint())
+	e.Value = r.varint()
+	e.Group = uint8(r.uvarint())
+	r.counterSet(&e.Counters)
+	return r.err == nil
+}
+
+// sample reads one sample record into s, mapping its stack reference
+// through the header's stack table. A dangling reference is an error in
+// strict mode and is cleared (and counted) in salvage mode.
+func (d *rankDecoder) sample(s *Sample) bool {
+	r := &d.r
+	if !r.poll() {
+		return false
 	}
 	d.prev += sim.Time(r.uvarint())
 	sid := callstack.StackID(r.varint())
@@ -349,7 +365,7 @@ func (d *rankDecoder) sample() (Sample, bool) {
 		if sid < 0 || int(sid) >= len(ids) {
 			if !d.cr.opt.Salvage {
 				r.err = fmt.Errorf("%w: sample references stack %d of %d", ErrCorrupt, sid, len(ids))
-				return Sample{}, false
+				return false
 			}
 			d.dangling++
 			sid = callstack.NoStack
@@ -357,14 +373,12 @@ func (d *rankDecoder) sample() (Sample, bool) {
 			sid = ids[sid]
 		}
 	}
-	s := Sample{
-		Time:     d.prev,
-		Rank:     int32(d.rank),
-		Stack:    sid,
-		Group:    uint8(r.uvarint()),
-		Counters: r.counterSet(),
-	}
-	return s, r.err == nil
+	s.Time = d.prev
+	s.Rank = int32(d.rank)
+	s.Stack = sid
+	s.Group = uint8(r.uvarint())
+	r.counterSet(&s.Counters)
+	return r.err == nil
 }
 
 // salvageLog is the salvage bookkeeping of one read: the first damage
@@ -427,7 +441,7 @@ func (cr *ChunkReader) fail(err error) error {
 	if cr.cur != nil {
 		// The section length prefix bounds the damage: drain the rest of
 		// this rank's section and move on.
-		_, derr := io.Copy(io.Discard, cr.secBuf)
+		_, derr := io.Copy(io.Discard, &cr.cur.r)
 		cr.endSection()
 		if derr == nil && cr.section.N == 0 {
 			return nil
@@ -471,12 +485,11 @@ func (cr *ChunkReader) Next(limit int) (Chunk, error) {
 				continue
 			}
 			if cr.section == nil {
-				cr.section = &io.LimitedReader{R: cr.outer}
-				cr.secBuf = bufio.NewReaderSize(cr.section, 1<<12)
+				cr.section = &io.LimitedReader{R: &cr.in}
+				cr.secWin = make([]byte, 0, sectionWindow)
 			}
 			cr.section.N = n
-			cr.secBuf.Reset(cr.section)
-			cr.cur = &rankDecoder{r: reader{r: cr.secBuf, ctx: cr.ctx}, cr: cr, rank: cr.rank}
+			cr.cur = &rankDecoder{r: streamReader(cr.ctx, cr.section, cr.secWin), cr: cr, rank: cr.rank}
 		}
 		c := Chunk{Rank: cr.rank}
 		finished, err := cr.cur.next(&c, limit)

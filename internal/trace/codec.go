@@ -5,9 +5,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -36,7 +39,9 @@ import (
 // identical at any worker count. It also bounds damage: a salvage read skips
 // a corrupt section and decodes the ranks after it. One parser reads the
 // container — ChunkReader, in chunk.go — and Decode drives it section by
-// section. The retired unframed "PFT1" layout is rejected as bad magic.
+// section. Its varints parse from a byte window (see reader): a sliced
+// section is its own window, a streamed one refills a fixed window. The
+// retired unframed "PFT1" layout is rejected as bad magic.
 //
 // Counter snapshots are encoded as a presence bitmap plus varint values so
 // multiplexed traces (mostly-uncaptured sets) stay small.
@@ -197,18 +202,38 @@ func encodeRankSection(rd *RankData) *bytes.Buffer {
 	return buf
 }
 
-// byteReader is what the decoder needs from its source: the stream path
-// supplies a *bufio.Reader, the per-section path a *bytes.Reader.
-type byteReader interface {
-	io.Reader
-	io.ByteReader
+// reader parses the format's varints and strings from a byte window:
+// buf[off:] holds the bytes not consumed yet. A rank section sliced off the
+// stream is its own window, so the input ends where the section does. A
+// streamed source refills a fixed window (buf's capacity) from src
+// whenever fewer than binary.MaxVarintLen64 bytes remain, so nearly every
+// varint parses from one slice without a call per byte. Errors read as
+// binary.ReadUvarint's would on the same bytes: io.EOF before a varint's
+// first byte, io.ErrUnexpectedEOF inside one, errVarintOverflow past its
+// tenth byte, and src's own error once the window has drained.
+type reader struct {
+	buf    []byte
+	off    int
+	src    io.Reader // refills the window; nil when buf holds all the input
+	srcErr error     // what ended src (io.EOF for a sliced window)
+	ctx    context.Context
+	n      int // records decoded since the last cancellation poll
+	err    error
 }
 
-type reader struct {
-	r   byteReader
-	ctx context.Context
-	n   int // records decoded since the last cancellation poll
-	err error
+// errVarintOverflow is the text binary.ReadUvarint reports for a varint
+// longer than ten bytes.
+var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// slicedReader parses a whole input held in memory.
+func slicedReader(ctx context.Context, b []byte) reader {
+	return reader{buf: b, srcErr: io.EOF, ctx: ctx}
+}
+
+// streamReader parses src through window, whose capacity is the window
+// size; its contents are overwritten.
+func streamReader(ctx context.Context, src io.Reader, window []byte) reader {
+	return reader{buf: window[:0], src: src, ctx: ctx}
 }
 
 // pollInterval is how many records the decoder processes between context
@@ -232,28 +257,129 @@ func (r *reader) poll() bool {
 	return true
 }
 
+// maxEmptyReads is how many empty reads in a row fill accepts before it
+// gives up with io.ErrNoProgress, as bufio.Reader does.
+const maxEmptyReads = 100
+
+// fill moves the unread bytes to the front of the window and tops it up
+// with one read from src. It does nothing once src has ended.
+func (r *reader) fill() {
+	if r.srcErr != nil {
+		return
+	}
+	n := copy(r.buf[:cap(r.buf)], r.buf[r.off:])
+	r.buf, r.off = r.buf[:n], 0
+	for range maxEmptyReads {
+		m, err := r.src.Read(r.buf[n:cap(r.buf)])
+		r.buf = r.buf[:n+m]
+		if err != nil {
+			r.srcErr = err
+			return
+		}
+		if m > 0 {
+			return
+		}
+	}
+	r.srcErr = io.ErrNoProgress
+}
+
+// short records the error of a read that ran out of input: src's own
+// error, with io.EOF read as io.ErrUnexpectedEOF once the item has begun.
+func (r *reader) short(begun bool) {
+	r.err = r.srcErr
+	if begun && r.err == io.EOF {
+		r.err = io.ErrUnexpectedEOF
+	}
+}
+
+// Read hands out the window's bytes, then src's, so a reader can also be
+// the source of a nested section or a bulk copy. A read at least as large
+// as the window bypasses it.
+func (r *reader) Read(p []byte) (int, error) {
+	if len(p) == 0 {
+		return 0, nil
+	}
+	if r.off == len(r.buf) {
+		if r.srcErr == nil && len(p) >= cap(r.buf) {
+			n, err := r.src.Read(p)
+			if err != nil {
+				r.srcErr = err
+			}
+			if n > 0 {
+				return n, nil
+			}
+			return 0, err
+		}
+		if r.fill(); r.off == len(r.buf) {
+			return 0, r.srcErr
+		}
+	}
+	n := copy(p, r.buf[r.off:])
+	r.off += n
+	return n, nil
+}
+
 func (r *reader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	v, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		r.err = err
+	if len(r.buf)-r.off < binary.MaxVarintLen64 {
+		r.fill()
 	}
-	return v
+	if len(r.buf)-r.off >= 8 {
+		// A word at a time: the first byte with its high bit clear ends
+		// the varint; drop the bytes after it and the continuation bits,
+		// then pack the 7-bit groups pairwise into one value.
+		w := binary.LittleEndian.Uint64(r.buf[r.off:])
+		if stop := ^w & 0x8080808080808080; stop != 0 {
+			n := bits.TrailingZeros64(stop) + 1 // 8 × the varint's length
+			w &= (1<<n - 1) & 0x7f7f7f7f7f7f7f7f
+			w = w&0x007f007f007f007f | w&0x7f007f007f007f00>>1
+			w = w&0x00003fff00003fff | w&0x3fff00003fff0000>>2
+			w = w&0x000000000fffffff | w&0x0fffffff00000000>>4
+			r.off += n / 8
+			return w
+		}
+	}
+	return r.uvarintBytes()
+}
+
+// uvarintBytes parses a varint byte by byte: one longer than eight bytes,
+// or one the window does not hold whole — at the end of the input, or
+// while a slow source delivers the stream in dribbles.
+func (r *reader) uvarintBytes() uint64 {
+	var x uint64
+	for i := range binary.MaxVarintLen64 {
+		if r.off == len(r.buf) {
+			if r.fill(); r.off == len(r.buf) {
+				r.short(i > 0)
+				return x
+			}
+		}
+		b := r.buf[r.off]
+		r.off++
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				break
+			}
+			return x | uint64(b)<<(7*i)
+		}
+		x |= uint64(b&0x7f) << (7 * i)
+	}
+	r.err = errVarintOverflow
+	return x
 }
 
 func (r *reader) varint() int64 {
-	if r.err != nil {
-		return 0
+	ux := r.uvarint()
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
 	}
-	v, err := binary.ReadVarint(r.r)
-	if err != nil {
-		r.err = err
-	}
-	return v
+	return x
 }
 
+// str reads a length-prefixed string with one allocation.
 func (r *reader) str() string {
 	n := r.uvarint()
 	if r.err != nil {
@@ -263,32 +389,38 @@ func (r *reader) str() string {
 		r.err = fmt.Errorf("trace: string length %d exceeds sanity limit", n)
 		return ""
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r.r, b); err != nil {
-		r.err = err
-		return ""
+	var sb strings.Builder
+	sb.Grow(int(n))
+	for sb.Len() < int(n) {
+		if r.off == len(r.buf) {
+			if r.fill(); r.off == len(r.buf) {
+				r.short(sb.Len() > 0)
+				return ""
+			}
+		}
+		k := min(int(n)-sb.Len(), len(r.buf)-r.off)
+		sb.Write(r.buf[r.off : r.off+k])
+		r.off += k
 	}
-	return string(b)
+	return sb.String()
 }
 
-func (r *reader) counterSet() counters.Set {
-	s := counters.AllMissing()
+// counterSet reads a presence mask and the captured values into s.
+func (r *reader) counterSet(s *counters.Set) {
+	*s = counters.AllMissing()
 	mask := r.uvarint()
 	if r.err != nil {
-		return s
+		return
 	}
 	if mask >= 1<<uint(counters.NumIDs) {
 		r.err = fmt.Errorf("%w: counter mask %#x has undefined bits", ErrCorrupt, mask)
-		return s
+		return
 	}
-	for id := counters.ID(0); id < counters.NumIDs; id++ {
-		if mask&(1<<id) != 0 {
-			if v := r.varint(); v != missingValue {
-				s.Put(id, v)
-			}
+	for m := mask; m != 0; m &= m - 1 {
+		if v := r.varint(); v != missingValue {
+			s.Put(counters.ID(bits.TrailingZeros64(m)), v)
 		}
 	}
-	return s
 }
 
 // Sanity limits on decoded collection sizes. Counts come straight from the
@@ -326,13 +458,13 @@ type DecodeOptions struct {
 	Salvage bool
 	// Exec composes the execution knobs shared with the analysis stages.
 	// Decode consumes Parallelism — the goroutine cap for decoding rank
-	// sections; zero or negative means runtime.GOMAXPROCS(0), and the
-	// decoded trace (and in salvage mode the report) is identical at any
-	// setting. ChunkReader and DecodeText read on one goroutine and ignore
-	// it. Budget rides along for
-	// callers composing one struct; the decoder does not enforce it. The
-	// fields are promoted, so opt.Parallelism keeps working; only composite
-	// literals need the Exec wrapper.
+	// sections and for repairing and validating each decoded rank; zero or
+	// negative means runtime.GOMAXPROCS(0), and the decoded trace (and in
+	// salvage mode the report) is identical at any setting. ChunkReader
+	// and DecodeText read on one goroutine and ignore it. Budget rides
+	// along for callers composing one struct; the decoder does not enforce
+	// it. The fields are promoted, so opt.Parallelism keeps working; only
+	// composite literals need the Exec wrapper.
 	exec.Exec
 }
 
@@ -373,7 +505,12 @@ func (sr *SalvageReport) Summary() string {
 // ChunkReader's parser: the rank sections are sliced off the stream in
 // order into pooled buffers and drained concurrently by the same record
 // loop, opt.Parallelism workers, each into its own rank slot, so the result
-// is deterministic. The SalvageReport is non-nil exactly when opt.Salvage is
+// is deterministic. The worker that drained a rank also repairs it
+// (Sanitize's per-rank pass, salvage mode only) and validates it, inside
+// its decode_worker_N span; the repairs are reported in rank order, and a
+// decode error takes precedence over the lowest-rank validation error,
+// exactly as a serial Sanitize and Validate after the decode would give
+// them. The SalvageReport is non-nil exactly when opt.Salvage is
 // set and any records were recovered; errors wrap the package sentinels
 // (ErrBadMagic, ErrTruncated, ErrCorrupt, ErrNoRanks, ErrInvalid — all
 // matching ErrFormat) for errors.Is dispatch.
@@ -427,7 +564,13 @@ func Decode(ctx context.Context, rd io.Reader, opt DecodeOptions) (*Trace, *Salv
 	for w := range wspans {
 		_, wspans[w] = obs.StartSpan(ctx, fmt.Sprintf("decode_worker_%d", w))
 	}
+	// Each worker also checks the ranks it drained, repairing them first in
+	// salvage mode: the checks are per rank, so they run where the records
+	// are still in cache. Ranks the stream never reached stay empty, which
+	// needs neither.
 	rankErrs := make([]error, len(bufs))
+	invalid := make([]error, len(bufs))
+	repairs := make([][]Problem, len(bufs))
 	dangling := make([]int, len(bufs))
 	par.ForEach(workers, len(bufs), func(worker, rank int) {
 		d := cr.sectionDecoder(rank, bufs[rank], missing[rank])
@@ -437,6 +580,13 @@ func Decode(ctx context.Context, rd io.Reader, opt DecodeOptions) (*Trace, *Salv
 		dangling[rank] = d.dangling
 		wspans[worker].AddInt("ranks", 1)
 		wspans[worker].AddInt("records", int64(c.Records()))
+		if ctx.Err() != nil {
+			return
+		}
+		if opt.Salvage {
+			repairs[rank] = t.sanitizeRank(rank)
+		}
+		invalid[rank] = t.ValidateRank(rank)
 	})
 	for _, s := range wspans {
 		s.End()
@@ -444,43 +594,51 @@ func Decode(ctx context.Context, rd io.Reader, opt DecodeOptions) (*Trace, *Salv
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	// Fixed error precedence keeps strict-mode failures deterministic:
-	// the lowest-rank section error wins, then any stream-level one.
-	decodeErr := streamErr
-	for _, err := range rankErrs {
-		if err != nil {
-			decodeErr = err
-			break
-		}
+	// Fixed error precedence keeps failures deterministic: the lowest-rank
+	// section error wins, then any stream-level one, then the lowest-rank
+	// validation error.
+	decodeErr := firstErr(rankErrs)
+	if decodeErr == nil {
+		decodeErr = streamErr
 	}
 	log := &cr.log
 	if err := log.absorb(decodeErr); err != nil {
 		return nil, nil, err
 	}
+	invalidErr := firstErr(invalid)
 	if !opt.Salvage {
-		if err := t.Validate(); err != nil {
-			return nil, nil, fmt.Errorf("decoded trace invalid: %w", err)
+		if invalidErr != nil {
+			return nil, nil, fmt.Errorf("decoded trace invalid: %w", invalidErr)
 		}
 		finish(t, nil)
 		return t, nil, nil
 	}
-	// Salvage: keep what was recovered, repair it, and report.
+	// Salvage: keep what was recovered and repaired, and report.
 	for _, d := range dangling {
 		log.dangling += d
 	}
-	repairs := t.Sanitize()
 	for i, rd := range t.Ranks {
 		cr.counts[i] = recordCount{len(rd.Events), len(rd.Samples)}
 	}
-	report, err := log.finish(cr.counts, repairs)
+	report, err := log.finish(cr.counts, slices.Concat(repairs...))
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := t.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("salvaged trace still invalid: %w", err)
+	if invalidErr != nil {
+		return nil, nil, fmt.Errorf("salvaged trace still invalid: %w", invalidErr)
 	}
 	finish(t, report)
 	return t, report, nil
+}
+
+// firstErr returns the first error of errs that is not nil.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // countingReader counts the bytes pulled through an io.Reader so the decode

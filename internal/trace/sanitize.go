@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"phasefold/internal/callstack"
@@ -98,17 +99,12 @@ func (t *Trace) sanitizeRank(r int) []Problem {
 	add(ProblemRankField, foreign, "records carried a foreign rank number")
 
 	// Drop events whose type is not defined; nothing downstream can
-	// interpret them.
-	badType := 0
-	kept := rd.Events[:0]
-	for _, e := range rd.Events {
-		if !e.Type.Valid() {
-			badType++
-			continue
-		}
-		kept = append(kept, e)
-	}
-	rd.Events = kept
+	// interpret them. Like every drop pass below, DeleteFunc writes nothing
+	// before the first record it drops, so a rank that needs no repair is
+	// only read.
+	n := len(rd.Events)
+	rd.Events = slices.DeleteFunc(rd.Events, func(e Event) bool { return !e.Type.Valid() })
+	badType := n - len(rd.Events)
 	add(ProblemBadEventType, badType, "events with undefined types dropped")
 
 	// Re-establish time order.
@@ -165,38 +161,18 @@ func countDisorder(rd *RankData) int {
 	return n
 }
 
+// dedupEvents drops each event equal to the one before it.
 func dedupEvents(rd *RankData) int {
-	if len(rd.Events) < 2 {
-		return 0
-	}
-	out := rd.Events[:1]
-	dropped := 0
-	for _, e := range rd.Events[1:] {
-		if e == out[len(out)-1] {
-			dropped++
-			continue
-		}
-		out = append(out, e)
-	}
-	rd.Events = out
-	return dropped
+	n := len(rd.Events)
+	rd.Events = slices.Compact(rd.Events)
+	return n - len(rd.Events)
 }
 
+// dedupSamples drops each sample equal to the one before it.
 func dedupSamples(rd *RankData) int {
-	if len(rd.Samples) < 2 {
-		return 0
-	}
-	out := rd.Samples[:1]
-	dropped := 0
-	for _, s := range rd.Samples[1:] {
-		if s == out[len(out)-1] {
-			dropped++
-			continue
-		}
-		out = append(out, s)
-	}
-	rd.Samples = out
-	return dropped
+	n := len(rd.Samples)
+	rd.Samples = slices.Compact(rd.Samples)
+	return n - len(rd.Samples)
 }
 
 // repairNesting drops the minimal set of events that keeps region and
@@ -210,16 +186,17 @@ func repairNesting(rd *RankData) int {
 		idx   int // index into out
 	}
 	var (
-		out       = rd.Events[:0]
 		regions   []open
 		comms     []int // indices into out of open comm enters
 		dropAtEnd []int
 		dropped   = 0
+		kept      = 0 // the kept events are moved up to the front
 	)
-	for _, e := range rd.Events {
+	for i := range rd.Events {
+		e := &rd.Events[i]
 		switch e.Type {
 		case RegionEnter:
-			regions = append(regions, open{value: e.Value, idx: len(out)})
+			regions = append(regions, open{value: e.Value, idx: kept})
 		case RegionExit:
 			if len(regions) == 0 || regions[len(regions)-1].value != e.Value {
 				dropped++
@@ -227,7 +204,7 @@ func repairNesting(rd *RankData) int {
 			}
 			regions = regions[:len(regions)-1]
 		case CommEnter:
-			comms = append(comms, len(out))
+			comms = append(comms, kept)
 		case CommExit:
 			if len(comms) == 0 {
 				dropped++
@@ -235,8 +212,12 @@ func repairNesting(rd *RankData) int {
 			}
 			comms = comms[:len(comms)-1]
 		}
-		out = append(out, e)
+		if kept != i { // nothing moves before the first drop
+			rd.Events[kept] = *e
+		}
+		kept++
 	}
+	out := rd.Events[:kept]
 	for _, o := range regions {
 		dropAtEnd = append(dropAtEnd, o.idx)
 	}
@@ -267,20 +248,27 @@ func repairNesting(rd *RankData) int {
 // a greedy "mask anything below the running max" pass would let one garbled
 // huge value poison every legitimate value after it, turning a 2% corruption
 // rate into a near-total data loss.
+//
+// A rank whose captured values are already non-negative and
+// non-decreasing, which one pass of Set.Advance establishes, is its own
+// longest subsequence for every counter: it returns before any of that.
 func maskCounterRegressions(rd *RankData) int {
+	last := counters.AllMissing()
+	monotone := true
+	mergedCounters(rd, func(s *counters.Set) bool {
+		_, bad := last.Advance(s)
+		monotone = !bad
+		return monotone
+	})
+	if monotone {
+		return 0
+	}
 	// Collect the merged timeline once as counter-set pointers.
 	sets := make([]*counters.Set, 0, len(rd.Events)+len(rd.Samples))
-	ei, si := 0, 0
-	for ei < len(rd.Events) || si < len(rd.Samples) {
-		haveE, haveS := ei < len(rd.Events), si < len(rd.Samples)
-		if haveE && (!haveS || rd.Events[ei].Time <= rd.Samples[si].Time) {
-			sets = append(sets, &rd.Events[ei].Counters)
-			ei++
-		} else {
-			sets = append(sets, &rd.Samples[si].Counters)
-			si++
-		}
-	}
+	mergedCounters(rd, func(s *counters.Set) bool {
+		sets = append(sets, s)
+		return true
+	})
 	masked := 0
 	var idxs []int
 	var vals []int64
@@ -305,6 +293,26 @@ func maskCounterRegressions(rd *RankData) int {
 		}
 	}
 	return masked
+}
+
+// mergedCounters calls yield with the counters of each of the rank's
+// records along its merged timeline, an event before a sample of the same
+// time, until yield returns false.
+func mergedCounters(rd *RankData, yield func(*counters.Set) bool) {
+	ei, si := 0, 0
+	for ei < len(rd.Events) || si < len(rd.Samples) {
+		var s *counters.Set
+		if ei < len(rd.Events) && (si == len(rd.Samples) || rd.Events[ei].Time <= rd.Samples[si].Time) {
+			s = &rd.Events[ei].Counters
+			ei++
+		} else {
+			s = &rd.Samples[si].Counters
+			si++
+		}
+		if !yield(s) {
+			return
+		}
+	}
 }
 
 // maskOutsideLNDS returns the elements of idxs NOT on a longest
