@@ -97,7 +97,6 @@ func main() {
 		cacheDisk    = flag.Int64("cache-disk-bytes", 2<<30, "on-disk result-store byte bound (with -state-dir)")
 		journalOn    = flag.Bool("journal", true, "write-ahead intake journal for crash recovery (with -state-dir)")
 		spoolDir     = flag.String("spool", "", "upload spool directory (default: system temp)")
-		streamUp     = flag.Bool("stream-uploads", true, "analyze chunked uploads incrementally while the body arrives; pristine results skip the queue")
 		parallel     = flag.Int("parallel", 0, "per-analysis parallelism (0 = CPU count)")
 		maxRecords   = flag.Int("max-records", 0, "budget: max records analyzed per trace (0 = unlimited)")
 		maxRanks     = flag.Int("max-ranks", 0, "budget: max ranks analyzed per trace (0 = unlimited)")
@@ -142,7 +141,6 @@ func main() {
 	cfg.CacheDiskBytes = *cacheDisk
 	cfg.Journal = *journalOn
 	cfg.SpoolDir = *spoolDir
-	cfg.StreamUploads = *streamUp
 	cfg.Logger = logger
 	cfg.Analysis.Parallelism = *parallel
 	cfg.Analysis.Budget = core.Budget{MaxRecords: *maxRecords, MaxRanks: *maxRanks}

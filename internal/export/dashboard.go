@@ -4,97 +4,41 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 )
 
 // Dashboard is the live ops view for the analysis daemon: one HTML page
 // that renders the latest state snapshot — queue depth and history,
 // per-stage latency sparklines, recent jobs, persistence health — and an
-// SSE stream that replaces it on every publish. Unlike the report server's
-// progress broker, the dashboard is latest-only: a snapshot obsoletes its
-// predecessor, so there is no history to replay and nothing unbounded to
-// hold; a late subscriber gets the current snapshot and then the live
-// stream.
+// SSE stream that replaces it on every publish. Every snapshot is published
+// under one broker key, so a snapshot obsoletes its predecessor: a late
+// subscriber gets the current snapshot and then the live stream, and a page
+// that cannot keep up skips to the latest.
 type Dashboard struct {
-	mu     sync.Mutex
-	latest []byte // the current snapshot, JSON-encoded
-	subs   map[chan []byte]struct{}
-	closed bool
+	broker *broker
 }
+
+// dashKey is the broker key, and the SSE event name, of every snapshot.
+const dashKey = "snapshot"
 
 // NewDashboard returns an empty dashboard; Publish installs the first
 // snapshot.
 func NewDashboard() *Dashboard {
-	return &Dashboard{subs: make(map[chan []byte]struct{})}
+	return &Dashboard{broker: newBroker()}
 }
 
 // Publish installs v (marshaled to JSON) as the current snapshot and
-// pushes it to every connected page. A page that cannot keep up skips
-// intermediate snapshots — only the latest matters.
+// pushes it to every connected page.
 func (d *Dashboard) Publish(v any) {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return
-	}
-	d.latest = data
-	for ch := range d.subs {
-		select {
-		case ch <- data:
-		default:
-			// Full buffer: drop the stale frame so this newer one lands.
-			select {
-			case <-ch:
-			default:
-			}
-			select {
-			case ch <- data:
-			default:
-			}
-		}
-	}
+	d.broker.publish(dashKey, frame{event: dashKey, data: data})
 }
 
-// subscribe registers a live channel and returns it with the snapshot to
-// render first. After Close the channel is nil.
-func (d *Dashboard) subscribe() (chan []byte, []byte) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return nil, d.latest
-	}
-	ch := make(chan []byte, 1)
-	d.subs[ch] = struct{}{}
-	return ch, d.latest
-}
-
-func (d *Dashboard) unsubscribe(ch chan []byte) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, ok := d.subs[ch]; ok {
-		delete(d.subs, ch)
-		close(ch)
-	}
-}
-
-// Close ends every stream. Connected pages see their EventSource close and
-// show "disconnected" instead of silently going stale.
-func (d *Dashboard) Close() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return
-	}
-	d.closed = true
-	for ch := range d.subs {
-		delete(d.subs, ch)
-		close(ch)
-	}
-}
+// Close ends every stream on the shutdown event. Connected pages show
+// "daemon drained" instead of silently going stale.
+func (d *Dashboard) Close() { d.broker.close() }
 
 // Handler returns the dashboard's routing table; mount it under a prefix
 // (the daemon uses /dash/) — the page uses relative URLs throughout.
@@ -109,61 +53,20 @@ func (d *Dashboard) Handler() http.Handler {
 		fmt.Fprint(w, dashboardPage)
 	})
 	mux.HandleFunc("/snapshot.json", d.handleSnapshot)
-	mux.HandleFunc("/events", d.handleEvents)
+	mux.Handle("/events", d.broker)
 	return mux
 }
 
 // handleSnapshot serves the current snapshot for curl and for pages whose
 // SSE connection has not delivered yet.
 func (d *Dashboard) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
-	d.mu.Lock()
-	data := d.latest
-	d.mu.Unlock()
-	if data == nil {
+	f, ok := d.broker.frameOf(dashKey)
+	if !ok {
 		http.Error(w, "no snapshot yet", http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
-}
-
-// handleEvents streams snapshots: the current one immediately, then every
-// publish until the client disconnects or the dashboard closes.
-func (d *Dashboard) handleEvents(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	ch, latest := d.subscribe()
-	if ch != nil {
-		defer d.unsubscribe(ch)
-	}
-	if latest != nil {
-		fmt.Fprintf(w, "event: snapshot\ndata: %s\n\n", latest)
-	}
-	fl.Flush()
-	if ch == nil {
-		fmt.Fprint(w, "event: shutdown\ndata: {\"reason\":\"drain\"}\n\n")
-		fl.Flush()
-		return
-	}
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case data, open := <-ch:
-			if !open {
-				fmt.Fprint(w, "event: shutdown\ndata: {\"reason\":\"drain\"}\n\n")
-				fl.Flush()
-				return
-			}
-			fmt.Fprintf(w, "event: snapshot\ndata: %s\n\n", data)
-			fl.Flush()
-		}
-	}
+	w.Write(f.data)
 }
 
 // dashboardPage renders whatever snapshot JSON arrives; it hard-codes only

@@ -84,7 +84,7 @@ total computation {{.View.TotalComputation}}.</p>
 
 {{if .HasJobs}}
 <h2>Batch progress</h2>
-<p><span id="jobdone">{{.JobsDone}}</span>/{{.JobsTotal}} jobs finished.</p>
+<p><span id="jobdone">{{len .Finished}}</span>/{{.JobsTotal}} jobs finished.</p>
 <table id="jobs">
 <thead><tr><th>#</th><th>job</th><th>outcome</th><th>attempts</th><th>time</th><th>detail</th></tr></thead>
 <tbody>
@@ -93,7 +93,11 @@ total computation {{.View.TotalComputation}}.</p>
 </table>
 <script>
 (function () {
-  var done = {{.JobsDone}};
+  // The count is the number of job indices seen finished, server-rendered
+  // or streamed: the feed replays each job's latest event on connect, so
+  // counting events would count those jobs twice.
+  var finished = {};
+  {{.Finished}}.forEach(function (i) { finished[i] = true; });
   var es = new EventSource("events");
   var upd = function (e) {
     var j = JSON.parse(e.data);
@@ -108,8 +112,8 @@ total computation {{.View.TotalComputation}}.</p>
       "</span></td><td>" + (j.attempts || "") + "</td><td>" + (j.duration || "") +
       "</td><td>" + (j.detail || "") + "</td>";
     if (e.type === "job") {
-      done++;
-      document.getElementById("jobdone").textContent = done;
+      finished[j.index] = true;
+      document.getElementById("jobdone").textContent = Object.keys(finished).length;
     }
   };
   es.addEventListener("job", upd);

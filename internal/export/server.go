@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -63,8 +64,9 @@ func (s *Server) SetView(v *core.ExportView) {
 func (s *Server) MountDebug(h http.Handler) { s.debug = h }
 
 // PublishJob records a batch progress event and pushes it to every SSE
-// subscriber. Wire it as runner.Options.Progress; it is safe for
-// concurrent calls from the worker pool.
+// subscriber. Each job is one broker key, so a page that connects late
+// receives every job's latest event. Wire it as runner.Options.Progress;
+// it is safe for concurrent calls from the worker pool.
 func (s *Server) PublishJob(ev runner.Event) {
 	st := jobState{Index: ev.Index, Name: ev.Name, Outcome: "running"}
 	sse := "job-start"
@@ -85,19 +87,19 @@ func (s *Server) PublishJob(ev runner.Event) {
 	}
 	s.mu.Unlock()
 	data, _ := json.Marshal(st)
-	s.broker.publish(fmt.Sprintf("event: %s\ndata: %s\n\n", sse, data))
+	s.broker.publish("job-"+strconv.Itoa(ev.Index), frame{event: sse, data: data})
 }
 
 // PublishPhases pushes a live streaming-analysis snapshot to every SSE
 // subscriber as a `phases` event, so a connected page watches phases form
-// while the trace is still being fed. A nil snapshot is ignored. Safe for
-// concurrent use.
+// while the trace is still being fed; a late joiner receives the latest
+// snapshot. A nil snapshot is ignored. Safe for concurrent use.
 func (s *Server) PublishPhases(snap *stream.Snapshot) {
 	if snap == nil {
 		return
 	}
 	data, _ := json.Marshal(snap)
-	s.broker.publish(fmt.Sprintf("event: phases\ndata: %s\n\n", data))
+	s.broker.publish("phases", frame{event: "phases", data: data})
 }
 
 // Handler returns the server's routing table.
@@ -108,7 +110,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/artifacts/flame.folded", s.handleFlame)
 	mux.HandleFunc("/artifacts/phases.prom", s.artifact("text/plain; version=0.0.4; charset=utf-8", WriteOpenMetrics))
 	mux.HandleFunc("/artifacts/phases.json", s.artifact("application/json", WriteSnapshotJSON))
-	mux.HandleFunc("/events", s.handleEvents)
+	mux.Handle("/events", s.broker)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
@@ -131,17 +133,12 @@ func (s *Server) ListenAndServe(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// shutdownEvent is the terminal SSE frame flushed to every connected
-// client on drain, so pages learn the stream ended deliberately (and can
-// stop reconnecting) instead of waiting out a read timeout.
-const shutdownEvent = "event: shutdown\ndata: {\"reason\":\"drain\"}\n\n"
-
-// Shutdown drains the server deterministically: every SSE subscriber is
-// sent a terminal shutdown event and has its channel closed — which makes
-// the /events handlers return immediately — and only then is the HTTP
-// listener shut down, so the drain never waits on a client-side timeout.
+// Shutdown drains the server deterministically: the broker closes, which
+// ends every /events stream on the shutdown event at once, and only then
+// is the HTTP listener shut down, so the drain never waits on a
+// client-side timeout.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.broker.close(shutdownEvent)
+	s.broker.close()
 	if s.httpSrv == nil {
 		return nil
 	}
@@ -157,7 +154,7 @@ type pageData struct {
 	Weights         []string
 	HasJobs         bool
 	Jobs            []jobState
-	JobsDone        int
+	Finished        []int // indices of the jobs with an outcome
 	JobsTotal       int
 }
 
@@ -197,14 +194,14 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	d := pageData{View: s.view, JobsTotal: s.nJob, HasJobs: s.nJob > 0}
+	d := pageData{View: s.view, JobsTotal: s.nJob, HasJobs: s.nJob > 0, Finished: []int{}}
 	for i := 0; i < s.nJob; i++ {
 		st, ok := s.jobs[i]
 		if !ok {
 			st = jobState{Index: i, Outcome: "pending"}
 		}
 		if st.Outcome != "running" && st.Outcome != "pending" {
-			d.JobsDone++
+			d.Finished = append(d.Finished, i)
 		}
 		d.Jobs = append(d.Jobs, st)
 	}
@@ -249,42 +246,6 @@ func (s *Server) handleFlame(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	if err := WriteFlamegraph(w, v, r.URL.Query().Get("weight")); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
-// handleEvents is the SSE endpoint: it replays the history of progress
-// events (so a late-joining page still sees every job) and then streams
-// new ones until the client disconnects or the server shuts down.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	ch, history := s.broker.subscribe()
-	if ch != nil {
-		defer s.broker.unsubscribe(ch)
-	}
-	for _, msg := range history {
-		fmt.Fprint(w, msg)
-	}
-	fl.Flush()
-	if ch == nil {
-		return // broker already closed: history was everything
-	}
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case msg, open := <-ch:
-			if !open {
-				return
-			}
-			fmt.Fprint(w, msg)
-			fl.Flush()
-		}
 	}
 }
 
@@ -401,85 +362,4 @@ func contains(xs []string, s string) bool {
 		}
 	}
 	return false
-}
-
-// broker fans progress events out to SSE subscribers, with full history
-// replay for late joiners.
-type broker struct {
-	mu      sync.Mutex
-	subs    map[chan string]struct{}
-	history []string
-	closed  bool
-}
-
-func newBroker() *broker {
-	return &broker{subs: make(map[chan string]struct{})}
-}
-
-// subscribe returns a live channel plus the events so far; after close it
-// returns a nil channel (history only).
-func (b *broker) subscribe() (chan string, []string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	history := append([]string(nil), b.history...)
-	if b.closed {
-		return nil, history
-	}
-	ch := make(chan string, 256)
-	b.subs[ch] = struct{}{}
-	return ch, history
-}
-
-func (b *broker) unsubscribe(ch chan string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, ok := b.subs[ch]; ok {
-		delete(b.subs, ch)
-		close(ch)
-	}
-}
-
-// publish appends to the history and delivers to every subscriber. A
-// subscriber that cannot keep up (full channel) skips the event; its page
-// still converges via the index render, and history replay covers new
-// subscribers.
-func (b *broker) publish(msg string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return
-	}
-	b.history = append(b.history, msg)
-	for ch := range b.subs {
-		select {
-		case ch <- msg:
-		default:
-		}
-	}
-}
-
-// close ends every stream; further publishes are dropped. A non-empty
-// terminal message is delivered to every subscriber before its channel
-// closes (best effort: a subscriber whose buffer is full still sees the
-// close) and appended to the history so post-close subscribers replay it.
-func (b *broker) close(terminal string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return
-	}
-	b.closed = true
-	if terminal != "" {
-		b.history = append(b.history, terminal)
-	}
-	for ch := range b.subs {
-		if terminal != "" {
-			select {
-			case ch <- terminal:
-			default:
-			}
-		}
-		delete(b.subs, ch)
-		close(ch)
-	}
 }

@@ -3,7 +3,9 @@ package export
 import (
 	"bufio"
 	"context"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -68,16 +70,27 @@ func TestShutdownDisconnectsSSEClients(t *testing.T) {
 }
 
 // TestShutdownEventReplaysToLateSubscribers: a client that connects after
-// the drain still sees the terminal event in the history replay and gets
-// an immediately-ending stream.
+// the drain still receives the latest frames followed by the terminal
+// shutdown event, and gets an immediately-ending stream.
 func TestShutdownEventReplaysToLateSubscribers(t *testing.T) {
 	srv := NewServer()
-	srv.broker.publish("event: job\ndata: {}\n\n")
+	srv.broker.publish("job-0", frame{event: "job", data: []byte("{}")})
 	if err := srv.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	_, history := srv.broker.subscribe()
-	if len(history) != 2 || !strings.Contains(history[1], "event: shutdown") {
-		t.Fatalf("post-close history = %q, want the job event then the shutdown event", history)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := ts.Client().Get(ts.URL + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "event: job\ndata: {}\n\nevent: shutdown\ndata: {\"reason\":\"drain\"}\n\n"
+	if string(body) != want {
+		t.Fatalf("post-close stream = %q, want the job event then the shutdown event", body)
 	}
 }

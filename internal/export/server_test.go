@@ -135,9 +135,9 @@ func TestServerNoView(t *testing.T) {
 }
 
 // TestServerBatchSSE: a supervised batch wired through PublishJob delivers
-// exactly one "job" SSE event per job — including failed ones — and the
-// history replay hands the full feed to a subscriber that connects after
-// the batch finished.
+// exactly one "job" SSE event per job — including failed ones — to a
+// subscriber that connects after the batch finished: the replay holds each
+// job's latest event, so its start events are superseded.
 func TestServerBatchSSE(t *testing.T) {
 	srv := NewServer()
 	ts := httptest.NewServer(srv.Handler())
@@ -185,8 +185,8 @@ func TestServerBatchSSE(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if starts != len(jobs) || finishes != len(jobs) {
-		t.Errorf("got %d starts and %d finishes, want %d each", starts, finishes, len(jobs))
+	if starts != 0 || finishes != len(jobs) {
+		t.Errorf("got %d starts and %d finishes, want 0 and %d", starts, finishes, len(jobs))
 	}
 	for _, o := range []string{"ok", "degraded", "failed"} {
 		if !outcomes[o] {

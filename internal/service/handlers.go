@@ -156,7 +156,7 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// concurrently with `spool`). The tee never gates the upload — the spool
 	// stays authoritative and complete for the fallback path.
 	var att *streamAttempt
-	if s.cfg.StreamUploads && !text && r.ContentLength < 0 {
+	if !text && r.ContentLength < 0 {
 		var tee io.Writer
 		att, tee = s.beginStreamAttempt(jt)
 		sink = io.MultiWriter(hash, spool, tee)
@@ -197,8 +197,8 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	key := cacheKey{Digest: hex.EncodeToString(hash.Sum(nil)), Fingerprint: s.fingerprint(text)}
 	jt.setDigest(key.Digest, n)
 	cacheSpan := jt.stage(stageCache)
-	if res, ok := s.cache.get(key); ok {
-		cacheSpan.SetAttr("result", "hit")
+	if res, layer := s.lookup(key); res != nil {
+		cacheSpan.SetAttr("result", layer)
 		cacheSpan.End()
 		removeSpool()
 		s.nHits.Add(1)
@@ -207,21 +207,6 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		jt.setCache("hit")
 		// The lifecycle finishes with the cached result's outcome; the hit
 		// itself is already recorded as the cache disposition.
-		s.finishTrace(jt, res.outcome)
-		s.serveResult(w, res, "hit")
-		s.observeTTFB(tenant, arrived)
-		return
-	}
-	if res := s.storeGet(key); res != nil {
-		// Read-through: the memory LRU evicted (or a restart cleared) it,
-		// but the durable store still has the bytes.
-		cacheSpan.SetAttr("result", "store_hit")
-		cacheSpan.End()
-		removeSpool()
-		s.nHits.Add(1)
-		s.reg.Counter(obs.MetricCacheEvents, "Result-cache events.",
-			obs.Label{K: "event", V: "hit"}).Inc()
-		jt.setCache("hit")
 		s.finishTrace(jt, res.outcome)
 		s.serveResult(w, res, "hit")
 		s.observeTTFB(tenant, arrived)
@@ -248,31 +233,25 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	jt.setCache("miss")
 	j := &job{key: key, tenant: tenant, path: spoolPath, text: text, size: n, jt: jt}
 	if att != nil {
-		if res := att.streamedResult(j); res != nil {
-			// The streamed analysis finished with a pristine result while the
-			// body was arriving: publish it directly, skipping the queue. No
-			// journal entry is needed — the work is already done, exactly like
-			// a cache hit.
-			s.nStreamed.Add(1)
-			s.nMisses.Add(1)
-			s.reg.Counter(obs.MetricCacheEvents, "Result-cache events.",
-				obs.Label{K: "event", V: "miss"}).Inc()
-			s.reg.Counter(obs.MetricStreamUploads, "Chunked uploads analyzed while arriving, by result.",
-				obs.Label{K: "result", V: "pristine"}).Inc()
-			pubSpan := jt.stage(stagePublish)
-			s.recordOutcome(res.outcome)
-			s.cache.put(res)
-			s.store.put(res)
-			pubSpan.End()
-			removeSpool()
-			s.finishTrace(jt, res.outcome)
-			s.fly.complete(j.key, res)
-			s.serveResult(w, res, "stream")
-			s.observeTTFB(tenant, arrived)
-			return
+		disposition := "fallback"
+		if att.pristine() {
+			disposition = "pristine"
+			j.att = att
 		}
 		s.reg.Counter(obs.MetricStreamUploads, "Chunked uploads analyzed while arriving, by result.",
-			obs.Label{K: "result", V: "fallback"}).Inc()
+			obs.Label{K: "result", V: disposition}).Inc()
+	}
+	if j.att != nil {
+		// The streamed analysis finished with a pristine result while the
+		// body was arriving: finish the job here, skipping the queue. No
+		// journal entry is needed — the work is already done, exactly like
+		// a cache hit.
+		s.nStreamed.Add(1)
+		s.countMiss()
+		res := s.finish(j)
+		s.serveResult(w, res, "stream")
+		s.observeTTFB(tenant, arrived)
+		return
 	}
 	// Journal the acceptance (fsynced) before the job can run: a crash from
 	// here on is recoverable — the spool file plus this record re-create
@@ -293,9 +272,7 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	qSpan.SetAttr("depth", depth)
 	jt.holdQueueSpan(qSpan)
 	jt.setState("queued")
-	s.nMisses.Add(1)
-	s.reg.Counter(obs.MetricCacheEvents, "Result-cache events.",
-		obs.Label{K: "event", V: "miss"}).Inc()
+	s.countMiss()
 	s.awaitFlight(w, r, fl, "miss", jt, nil, tenant, arrived)
 }
 
@@ -353,17 +330,37 @@ func (s *Service) serveResult(w http.ResponseWriter, res *result, cacheState str
 	w.Write(res.report)
 }
 
-// lookupDigest finds a cached result by digest under either input-format
+// countMiss tallies an upload that needs an analysis.
+func (s *Service) countMiss() {
+	s.nMisses.Add(1)
+	s.reg.Counter(obs.MetricCacheEvents, "Result-cache events.",
+		obs.Label{K: "event", V: "miss"}).Inc()
+}
+
+// lookup finds a finished result in the memory LRU, then in the durable
+// store, promoting a store hit into the LRU: the read-through that keeps
+// hits byte-identical whether they come from RAM or disk. layer names
+// where it was found, "hit" or "store_hit".
+func (s *Service) lookup(k cacheKey) (res *result, layer string) {
+	if res, ok := s.cache.get(k); ok {
+		return res, "hit"
+	}
+	if s.store == nil {
+		return nil, ""
+	}
+	if res = s.store.get(k); res != nil {
+		s.cache.put(res)
+		return res, "store_hit"
+	}
+	return nil, ""
+}
+
+// lookupDigest finds a finished result by digest under either input-format
 // fingerprint (the daemon's analysis options are fixed, so the digest is
-// unambiguous per format), falling through to the durable store.
+// unambiguous per format).
 func (s *Service) lookupDigest(digest string) (*result, bool) {
 	for _, fp := range []string{s.fpBinary, s.fpText} {
-		if res, ok := s.cache.get(cacheKey{Digest: digest, Fingerprint: fp}); ok {
-			return res, true
-		}
-	}
-	for _, fp := range []string{s.fpBinary, s.fpText} {
-		if res := s.storeGet(cacheKey{Digest: digest, Fingerprint: fp}); res != nil {
+		if res, _ := s.lookup(cacheKey{Digest: digest, Fingerprint: fp}); res != nil {
 			return res, true
 		}
 	}

@@ -33,7 +33,7 @@ import (
 const (
 	stageAdmission = "admission" // draining check + tenant token bucket
 	stageSpool     = "spool"     // body → temp file while SHA-256 hashing
-	stageStream    = "stream"    // incremental analysis racing the spool (StreamUploads)
+	stageStream    = "stream"    // incremental analysis racing the spool
 	stageCache     = "cache"     // memory LRU + durable-store read-through
 	stageCoalesce  = "coalesce"  // waiting on an identical in-flight job
 	stageQueue     = "queue"     // enqueue → worker pickup

@@ -23,16 +23,18 @@ import (
 // capacity and the upload must be shed, not parked.
 var errQueueFull = errors.New("service: job queue full")
 
-// job is one admitted upload on its way through the queue. The handler
-// that created it (the flight leader) and every coalesced handler wait on
-// the flight; the worker publishes the result there.
+// job is one admitted upload on its way to its result. The handler that
+// created it (the flight leader) and every coalesced handler wait on the
+// flight; finish publishes the result there. A job carries its streamed
+// attempt when the upload was analyzed, pristine, while it arrived.
 type job struct {
 	key    cacheKey
 	tenant string
 	path   string // spooled upload
 	text   bool
 	size   int64
-	jt     *jobTrace // the lifecycle trace this job belongs to
+	jt     *jobTrace      // the lifecycle trace this job belongs to
+	att    *streamAttempt // the pristine streamed analysis, or nil
 }
 
 // pool is the bounded job queue plus the analysis workers. Enqueue never
@@ -113,88 +115,44 @@ func (p *pool) worker() {
 			case <-p.s.runCtx.Done():
 			}
 		}
-		p.run(j)
+		if q := j.jt.takeQueueSpan(); q != nil {
+			q.End()
+			p.s.reg.Histogram(obs.MetricTenantQueueAge, "Enqueue-to-dequeue queue wait, per tenant.",
+				obs.DurationBuckets(), obs.Label{K: "tenant", V: j.tenant}).
+				Observe(q.Duration().Seconds())
+		}
+		p.s.finish(j)
 		p.depth.Add(-1)
 		p.s.reg.Gauge(obs.MetricQueueDepth, "Queued plus running analysis jobs.").
 			Set(float64(p.depth.Load()))
 	}
 }
 
-// run executes one job under the supervisor and publishes its result to
-// the cache (when deterministic) and the flight (always — every waiter is
-// answered, whatever happened). The job's lifecycle trace gets its queue
-// span closed here and run/export/publish spans opened around each phase;
-// the supervisor's own job span nests under "run" via the context.
-func (p *pool) run(j *job) {
-	s := p.s
+// finish takes one job to its published result: a queued job on its
+// worker, a pristine streamed job inline in its handler. The run stage
+// decodes and analyzes the spooled upload under the supervisor; a
+// streamed job skips it, its attempt having analyzed the upload under the
+// stream stage. The export stage renders the result, and the publish stage
+// records the outcome, caches and stores a deterministic result and
+// settles the journal. Every waiter on the flight is answered, whatever
+// happened.
+func (s *Service) finish(j *job) *result {
 	jt := j.jt
-	if q := jt.takeQueueSpan(); q != nil {
-		q.End()
-		s.reg.Histogram(obs.MetricTenantQueueAge, "Enqueue-to-dequeue queue wait, per tenant.",
-			obs.DurationBuckets(), obs.Label{K: "tenant", V: jt.tenant}).
-			Observe(q.Duration().Seconds())
-	}
 	jt.setState("running")
-	if s.cfg.SlowJob > 0 && jt != nil {
+	if s.cfg.SlowJob > 0 {
 		watchdog := time.AfterFunc(s.cfg.SlowJob, func() { s.jobOverThreshold(jt) })
 		defer watchdog.Stop()
 	}
-	runSpan := jt.stage(stageRun)
-	runCtx := s.runCtx
-	var traceID string
-	if jt != nil {
-		traceID = jt.id
-		// Nest the supervisor's job span (and the analysis stage spans
-		// beneath it) under this lifecycle's run span, and scope every log
-		// event the job emits to its trace.
-		runCtx = obs.WithRecorder(runCtx, obs.NewRecorder())
-		runCtx = obs.ContextWithSpan(runCtx, runSpan)
-		runCtx = obs.WithLogger(runCtx, s.log.With(
-			"trace", jt.id, "digest", shortDigest(j.key.Digest), "tenant", j.tenant))
-	}
 	var (
-		view     *core.ExportView
-		app      string
-		clusters int
-		bursts   int
-		diags    []string
+		jr    runner.JobResult
+		model *core.Model
+		tr    *trace.Trace
 	)
-	jr := p.sup.Do(runCtx, runner.Job{
-		Name:  "sha256:" + shortDigest(j.key.Digest),
-		Trace: traceID,
-		Run: func(ctx context.Context) (string, bool, error) {
-			f, err := os.Open(j.path)
-			if err != nil {
-				return "", false, runner.Transient(err)
-			}
-			defer f.Close()
-			var (
-				tr  *trace.Trace
-				rep *trace.SalvageReport
-			)
-			if j.text {
-				tr, rep, err = trace.DecodeText(ctx, f, p.s.cfg.Decode)
-			} else {
-				tr, rep, err = trace.Decode(ctx, f, p.s.cfg.Decode)
-			}
-			if err != nil {
-				return "", false, err
-			}
-			model, err := core.Analyze(ctx, tr, p.s.cfg.Analysis)
-			if err != nil {
-				return "", false, err
-			}
-			view = model.Export(tr)
-			app = model.App
-			clusters, bursts = model.NumClusters, model.NumBursts
-			detail, degraded, modelDiags := summarize(model, rep)
-			diags = modelDiags
-			return detail, degraded, nil
-		},
-	})
-	runSpan.SetAttr("outcome", jr.Outcome.String())
-	runSpan.SetAttr("attempts", jr.Attempts)
-	runSpan.End()
+	if a := j.att; a != nil {
+		jr, model, tr = a.jr, a.model, a.skel
+	} else {
+		jr, model, tr = s.run(j)
+	}
 	// A job canceled by drain keeps its spool and its journal entry: the
 	// next start re-enqueues it and finishes the work this instance
 	// accepted. Every other outcome is final — spool removed, journal
@@ -203,15 +161,12 @@ func (p *pool) run(j *job) {
 	if !keepForRestart {
 		os.Remove(j.path)
 	}
-	if jr.Outcome.Bad() {
-		view = nil // a failed attempt's partial view must not serve
-	}
 	expSpan := jt.stage(stageExport)
-	res := buildResult(j, jr, view, app, clusters, bursts, diags)
+	res := buildResult(j, jr, model, tr)
 	expSpan.SetAttr("bytes", res.size)
 	expSpan.End()
 	pubSpan := jt.stage(stagePublish)
-	s.recordOutcome(jr.Outcome.String())
+	s.recordOutcome(res.outcome)
 	if cacheable(jr.Outcome) {
 		s.cache.put(res)
 		s.store.put(res)
@@ -220,27 +175,79 @@ func (p *pool) run(j *job) {
 		s.wal.done(j.key)
 	}
 	pubSpan.End()
-	s.finishTrace(jt, jr.Outcome.String())
+	s.finishTrace(jt, res.outcome)
 	s.fly.complete(j.key, res)
+	return res
 }
 
-// summarize renders what a finished analysis contributes to its result
-// document — the detail line, whether it is degraded, the diagnostics — the
-// same way for the queued and the streamed path.
-func summarize(model *core.Model, rep *trace.SalvageReport) (detail string, degraded bool, diags []string) {
-	for _, d := range model.Diagnostics {
-		diags = append(diags, d.String())
+// run is the run stage of a job without a streamed attempt: the spooled
+// upload is decoded and analyzed under the supervisor, whose job span and
+// the analysis stage spans nest under the run span. A failed run returns
+// no model: a partial one must not serve.
+func (s *Service) run(j *job) (runner.JobResult, *core.Model, *trace.Trace) {
+	runSpan := j.jt.stage(stageRun)
+	ctx := s.jobContext(s.runCtx, j.jt, runSpan, "digest", shortDigest(j.key.Digest))
+	var (
+		model *core.Model
+		tr    *trace.Trace
+	)
+	jr := s.pool.sup.Do(ctx, runner.Job{
+		Name:  "sha256:" + shortDigest(j.key.Digest),
+		Trace: j.jt.id,
+		Run: func(ctx context.Context) (string, bool, error) {
+			f, err := os.Open(j.path)
+			if err != nil {
+				return "", false, runner.Transient(err)
+			}
+			defer f.Close()
+			var rep *trace.SalvageReport
+			if j.text {
+				tr, rep, err = trace.DecodeText(ctx, f, s.cfg.Decode)
+			} else {
+				tr, rep, err = trace.Decode(ctx, f, s.cfg.Decode)
+			}
+			if err != nil {
+				return "", false, err
+			}
+			if model, err = core.Analyze(ctx, tr, s.cfg.Analysis); err != nil {
+				return "", false, err
+			}
+			detail, degraded := summarize(model, rep)
+			return detail, degraded, nil
+		},
+	})
+	runSpan.SetAttr("outcome", jr.Outcome.String())
+	runSpan.SetAttr("attempts", jr.Attempts)
+	runSpan.End()
+	if jr.Outcome.Bad() {
+		model = nil
 	}
+	return jr, model, tr
+}
+
+// jobContext scopes ctx to one job's lifecycle: spans opened under it nest
+// under span, and every log event it emits carries the job's trace and
+// tenant plus logArgs.
+func (s *Service) jobContext(ctx context.Context, jt *jobTrace, span *obs.Span, logArgs ...any) context.Context {
+	ctx = obs.WithRecorder(ctx, obs.NewRecorder())
+	ctx = obs.ContextWithSpan(ctx, span)
+	return obs.WithLogger(ctx, s.log.With(append([]any{"trace", jt.id, "tenant", jt.tenant}, logArgs...)...))
+}
+
+// summarize renders what a finished analysis contributes to its run
+// result — the detail line and whether it is degraded — the same way for
+// the queued and the streamed path.
+func summarize(model *core.Model, rep *trace.SalvageReport) (detail string, degraded bool) {
 	degraded = model.Degraded()
 	detail = fmt.Sprintf("%d clusters, %d bursts", model.NumClusters, model.NumBursts)
 	if rep != nil && !rep.Complete() {
 		degraded = true
 		detail += ", salvaged"
 	}
-	if len(diags) > 0 {
-		detail += fmt.Sprintf(", %d diagnostics", len(diags))
+	if n := len(model.Diagnostics); n > 0 {
+		detail += fmt.Sprintf(", %d diagnostics", n)
 	}
-	return detail, degraded, diags
+	return detail, degraded
 }
 
 // shortDigest abbreviates a content digest for job names and log lines.
@@ -277,19 +284,17 @@ const (
 )
 
 // buildResult renders the finished job into its servable form: the JSON
-// report plus, for usable results, every export artifact rendered to
-// bytes. Render errors degrade to a missing artifact, never a crash.
-func buildResult(j *job, jr runner.JobResult, view *core.ExportView,
-	app string, clusters, bursts int, diags []string) *result {
+// report plus, when the run produced a model, the model's summary and
+// every export artifact rendered to bytes from its view of tr. Render
+// errors degrade to a missing artifact, never a crash.
+func buildResult(j *job, jr runner.JobResult, model *core.Model, tr *trace.Trace) *result {
 	doc := reportDoc{
 		Digest:   j.key.Digest,
 		Outcome:  jr.Outcome.String(),
 		Degraded: jr.Outcome == runner.Degraded,
 		Detail:   jr.Detail,
 		Attempts: jr.Attempts,
-	}
-	if j.jt != nil {
-		doc.TraceID = j.jt.id
+		TraceID:  j.jt.id,
 	}
 	if jr.Err != nil {
 		doc.Error = jr.Err.Error()
@@ -300,9 +305,12 @@ func buildResult(j *job, jr runner.JobResult, view *core.ExportView,
 		code:    statusFor(jr.Outcome, jr.Err),
 		trace:   doc.TraceID,
 	}
-	if view != nil {
-		doc.App, doc.Clusters, doc.Bursts, doc.Diagnostics = app, clusters, bursts, diags
-		res.artifacts = renderArtifacts(view)
+	if model != nil {
+		doc.App, doc.Clusters, doc.Bursts = model.App, model.NumClusters, model.NumBursts
+		for _, d := range model.Diagnostics {
+			doc.Diagnostics = append(doc.Diagnostics, d.String())
+		}
+		res.artifacts = renderArtifacts(model.Export(tr))
 		doc.Artifacts = make(map[string]string, len(res.artifacts))
 		for name := range res.artifacts {
 			doc.Artifacts[name] = "/v1/results/" + j.key.Digest + "/" + name

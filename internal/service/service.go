@@ -109,13 +109,6 @@ type Config struct {
 	FS faults.FS
 	// SpoolDir receives upload temp files; "" means os.TempDir().
 	SpoolDir string
-	// StreamUploads analyzes chunked (unknown-length) binary uploads while
-	// the body is still arriving: the spool tee feeds an incremental
-	// stream.Session, and a pristine streamed result — clean decode, no
-	// rank dropped by the session — is published without ever entering the
-	// queue. Declared-length bodies, text uploads, and anything needing
-	// repair fall back to the classic spool-then-queue path unchanged.
-	StreamUploads bool
 	// Logger receives the daemon's structured events (recovery, sweeps,
 	// disk-fault degradation); nil disables.
 	Logger *slog.Logger
@@ -168,7 +161,6 @@ func Defaults() Config {
 		CacheDiskEntries: 4096,
 		CacheDiskBytes:   2 << 30,
 		Journal:          true,
-		StreamUploads:    true,
 		JobsHistory:      256,
 		SlowJob:          time.Minute,
 		Analysis:         opt,
@@ -363,20 +355,6 @@ func (s *Service) startSweeper(every time.Duration) {
 			}
 		}
 	}()
-}
-
-// storeGet consults the durable store on a memory miss and promotes a hit
-// into the in-memory LRU — the read-through that keeps hits byte-identical
-// whether they come from RAM or disk.
-func (s *Service) storeGet(k cacheKey) *result {
-	if s.store == nil {
-		return nil
-	}
-	res := s.store.get(k)
-	if res != nil {
-		s.cache.put(res)
-	}
-	return res
 }
 
 // persistenceState summarizes the durability layer for /readyz and stats:

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"io"
 
 	"phasefold/internal/core"
@@ -13,11 +14,13 @@ import (
 // Streamed uploads: a chunked (unknown-length) binary body is analyzed while
 // it is still arriving. The spool copy tees every byte into a pipe feeding an
 // incremental stream.Session, so the job's `stream` span runs concurrently
-// with its `spool` span. When the body lands the session is sealed; a
-// pristine result — clean decode, no rank dropped by the session — is
-// published directly and never enters the queue. Anything else (damage,
-// dropped ranks, session failure) falls back to the classic spooled path,
-// whose input is complete on disk regardless: the tee never gates the spool.
+// with its `spool` span, and the session's stage spans nest under it. The
+// attempt is bounded by the job timeout, like a queued run. When the body
+// lands the session is sealed; a pristine result — clean decode, no rank
+// dropped by the session — is carried by the upload's job, which finishes
+// inline and never enters the queue. Anything else (damage, dropped ranks,
+// session failure, timeout) falls back to the queued path, whose input is
+// complete on disk regardless: the tee never gates the spool.
 
 // streamChunkRecords is the record granularity the streamed path feeds the
 // session: small enough to keep live snapshots fresh, large enough to
@@ -36,6 +39,9 @@ type streamAttempt struct {
 	skel   *trace.Trace
 	report *trace.SalvageReport
 	err    error
+
+	// jr is the run result of a pristine attempt, set by seal.
+	jr runner.JobResult
 }
 
 // beginStreamAttempt starts the incremental analysis for one upload and
@@ -45,24 +51,30 @@ type streamAttempt struct {
 func (s *Service) beginStreamAttempt(jt *jobTrace) (*streamAttempt, io.Writer) {
 	pr, pw := io.Pipe()
 	a := &streamAttempt{s: s, pw: pw, span: jt.stage(stageStream), done: make(chan struct{})}
+	ctx, cancel := s.runCtx, context.CancelFunc(func() {})
+	if s.cfg.JobTimeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.JobTimeout)
+	}
+	ctx = s.jobContext(ctx, jt, a.span)
 	go func() {
 		defer close(a.done)
+		defer cancel()
 		defer io.Copy(io.Discard, pr) // keep the tee writable whatever happened
 		defer s.livePhases.Store(nil)
-		a.err = a.consume(pr)
+		a.err = a.consume(ctx, pr)
 	}()
 	return a, pw
 }
 
 // consume drives the chunk reader into a session, publishing live snapshots
 // to the dashboard between chunks.
-func (a *streamAttempt) consume(pr *io.PipeReader) error {
+func (a *streamAttempt) consume(ctx context.Context, pr *io.PipeReader) error {
 	s := a.s
-	cr, err := trace.NewChunkReader(s.runCtx, pr, s.cfg.Decode)
+	cr, err := trace.NewChunkReader(ctx, pr, s.cfg.Decode)
 	if err != nil {
 		return err
 	}
-	sess, err := stream.New(s.runCtx, stream.Header{
+	sess, err := stream.New(ctx, stream.Header{
 		App: cr.App(), NumRanks: cr.NumRanks(), Symbols: cr.Symbols(), Stacks: cr.Stacks(),
 	}, stream.Options{Core: s.cfg.Analysis})
 	if err != nil {
@@ -95,7 +107,9 @@ func (a *streamAttempt) consume(pr *io.PipeReader) error {
 }
 
 // seal ends the attempt once the upload's body has fully landed (or failed
-// with copyErr) and records the outcome on the `stream` span.
+// with copyErr) and records the outcome on the `stream` span. A pristine
+// attempt gets the run result the supervisor reports for a first-attempt
+// success.
 func (a *streamAttempt) seal(copyErr error) {
 	if copyErr != nil {
 		a.pw.CloseWithError(copyErr)
@@ -111,6 +125,12 @@ func (a *streamAttempt) seal(copyErr error) {
 		a.span.SetAttr("error", a.err.Error())
 	case a.pristine():
 		a.span.SetAttr("result", "pristine")
+		a.jr = runner.JobResult{Outcome: runner.OK, Attempts: 1}
+		var degraded bool
+		a.jr.Detail, degraded = summarize(a.model, a.report)
+		if degraded {
+			a.jr.Outcome = runner.Degraded
+		}
 	default:
 		a.span.SetAttr("result", "fallback")
 	}
@@ -137,24 +157,4 @@ func (a *streamAttempt) pristine() bool {
 		}
 	}
 	return true
-}
-
-// streamedResult renders a pristine attempt into the same servable result
-// the worker would have produced: identical report document and artifacts,
-// minus the queue wait.
-func (a *streamAttempt) streamedResult(j *job) *result {
-	if !a.pristine() {
-		return nil
-	}
-	detail, degraded, diags := summarize(a.model, a.report)
-	jr := runner.JobResult{
-		Name:     "sha256:" + shortDigest(j.key.Digest),
-		Outcome:  runner.OK,
-		Detail:   detail,
-		Attempts: 1,
-	}
-	if degraded {
-		jr.Outcome = runner.Degraded
-	}
-	return buildResult(j, jr, a.model.Export(a.skel), a.model.App, a.model.NumClusters, a.model.NumBursts, diags)
 }

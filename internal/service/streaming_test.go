@@ -6,6 +6,9 @@ import (
 	"io"
 	"net/http"
 	"testing"
+	"time"
+
+	"phasefold/internal/obs"
 )
 
 // chunkedUpload POSTs body with unknown length: wrapping the reader hides
@@ -208,23 +211,70 @@ func TestStreamedUploadServesTailDiagnostics(t *testing.T) {
 	}
 }
 
-// TestStreamedUploadDisabled: with StreamUploads off a chunked upload is a
-// plain queued analysis — no stream span, no X-Cache: stream.
-func TestStreamedUploadDisabled(t *testing.T) {
-	data := pristineTrace(t)
-	_, ts := newTestService(t, func(c *Config) { c.StreamUploads = false })
-	resp, doc := chunkedUpload(t, ts.URL, data, map[string]string{"X-Request-Id": "stream-off-1"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("upload: status %d body %s", resp.StatusCode, doc)
+// hasSpan reports whether rep's subtree holds a span named name.
+func hasSpan(rep obs.StageReport, name string) bool {
+	for _, st := range rep.Stages {
+		if st.Name == name || hasSpan(st, name) {
+			return true
+		}
 	}
-	if got := resp.Header.Get("X-Cache"); got != "miss" {
-		t.Errorf("X-Cache = %q, want miss", got)
+	return false
+}
+
+// TestStreamedUploadSpanTree: a streamed job is finished like a queued one.
+// The session's pipeline stages nest under the stream stage, and the result
+// is rendered under an export stage before it is published.
+func TestStreamedUploadSpanTree(t *testing.T) {
+	const traceID = "stream-tree-1"
+	_, ts := newTestService(t, nil)
+	resp, doc := chunkedUpload(t, ts.URL, pristineTrace(t), map[string]string{"X-Request-Id": traceID})
+	if got := resp.Header.Get("X-Cache"); got != "stream" {
+		t.Fatalf("X-Cache = %q, want stream (body %s)", got, doc)
 	}
-	d, code := getJob(t, ts.URL, "stream-off-1")
+	d, code := getJob(t, ts.URL, traceID)
 	if code != http.StatusOK {
 		t.Fatalf("jobs API: status %d", code)
 	}
-	if _, ok := spanNames(d.Spans)[stageStream]; ok {
-		t.Errorf("stream span present with StreamUploads disabled")
+	stages := spanNames(d.Spans)
+	for _, want := range []string{stageStream, stageExport, stagePublish} {
+		if _, ok := stages[want]; !ok {
+			t.Errorf("span tree missing stage %q (have %v)", want, keysOf(stages))
+		}
+	}
+	if _, ok := stages[stageRun]; ok {
+		t.Errorf("streamed job has a %q stage; its analysis ran under %q", stageRun, stageStream)
+	}
+	for _, want := range []string{"fold", "fit"} {
+		if !hasSpan(stages[stageStream], want) {
+			t.Errorf("stream stage has no nested %q span", want)
+		}
+	}
+	if exp := stages[stageExport]; exp.Attrs["bytes"] == nil {
+		t.Errorf("export stage carries no bytes attribute: %+v", exp.Attrs)
+	}
+}
+
+// TestStreamedUploadHonorsJobTimeout: the streamed attempt is bounded by
+// the job timeout like a queued run, so an analysis that cannot meet it is
+// not served from the stream.
+func TestStreamedUploadHonorsJobTimeout(t *testing.T) {
+	const traceID = "stream-timeout-1"
+	s, ts := newTestService(t, func(c *Config) { c.JobTimeout = time.Nanosecond })
+	resp, doc := chunkedUpload(t, ts.URL, pristineTrace(t), map[string]string{"X-Request-Id": traceID})
+	if got := resp.Header.Get("X-Cache"); got == "stream" {
+		t.Fatalf("X-Cache = stream under a 1ns job timeout (status %d body %s)", resp.StatusCode, doc)
+	}
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Errorf("status %d, want 504 from the timed-out queued run (body %s)", resp.StatusCode, doc)
+	}
+	if got := s.Snapshot().Streamed; got != 0 {
+		t.Errorf("stats streamed = %d, want 0", got)
+	}
+	d, code := getJob(t, ts.URL, traceID)
+	if code != http.StatusOK {
+		t.Fatalf("jobs API: status %d", code)
+	}
+	if str := spanNames(d.Spans)[stageStream]; str.Attrs["result"] != "failed" {
+		t.Errorf("stream span result = %v, want failed", str.Attrs["result"])
 	}
 }
