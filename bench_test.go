@@ -88,18 +88,6 @@ func BenchmarkF5Multiplexing(b *testing.B) { runExperiment(b, "F5") }
 // ablation.
 func BenchmarkF6PWLvsKernel(b *testing.B) { runExperiment(b, "F6") }
 
-// BenchmarkF7SpectralPeriod regenerates table F7: markerless iteration-
-// period detection by autocorrelation of the sampled rate signal.
-func BenchmarkF7SpectralPeriod(b *testing.B) { runExperiment(b, "F7") }
-
-// BenchmarkF8MarkerlessFolding regenerates table F8: folding a
-// sampling-only trace on period-cut windows.
-func BenchmarkF8MarkerlessFolding(b *testing.B) { runExperiment(b, "F8") }
-
-// BenchmarkF9Tracking regenerates table F9: cross-scenario cluster tracking
-// over a problem-size sweep.
-func BenchmarkF9Tracking(b *testing.B) { runExperiment(b, "F9") }
-
 // BenchmarkA1Ablations regenerates table A1: the design-choice ablation
 // grid (DP vs greedy, BIC vs fixed K, merge pass, outlier pruning).
 func BenchmarkA1Ablations(b *testing.B) { runExperiment(b, "A1") }

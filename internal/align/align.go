@@ -198,26 +198,60 @@ func ProgressiveContext(ctx context.Context, seqs [][]int, sc Scoring) (*MSA, er
 	msa := &MSA{Rows: [][]int{append([]int(nil), seqs[center]...)}}
 	order := make([]int, 0, len(seqs))
 	order = append(order, center)
+	// An empty sequence aligned against the consensus adds no gap column,
+	// and the consensus ignores its all-gap row, so it skips the loop and
+	// gets an all-gap row of the final width at the end. That holds only
+	// while no input symbol is Gap: insertAligned reads a Gap in the
+	// consensus as a new gap column, so there every sequence is aligned.
+	// An empty center means every sequence is empty; the loop keeps those
+	// (spmdScore in internal/core does not align them at all).
+	skipEmpty := len(seqs[center]) > 0 && !holdsGap(seqs)
+	var empty []int
 	for i := range seqs {
-		if i != center {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			gc, gs, _, err := pairwise(ctx, msa.consensus(), seqs[i], sc)
-			if err != nil {
-				return nil, err
-			}
-			// gc tells where the existing alignment needs new gap columns.
-			msa.insertAligned(gc, gs)
-			order = append(order, i)
+		if i == center {
+			continue
 		}
+		if skipEmpty && len(seqs[i]) == 0 {
+			empty = append(empty, i)
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		gc, gs, _, err := pairwise(ctx, msa.consensus(), seqs[i], sc)
+		if err != nil {
+			return nil, err
+		}
+		// gc tells where the existing alignment needs new gap columns.
+		msa.insertAligned(gc, gs)
+		order = append(order, i)
 	}
 	// Restore original sequence order in the rows: row r holds seqs[order[r]].
 	ordered := make([][]int, len(seqs))
 	for r, si := range order {
 		ordered[si] = msa.Rows[r]
 	}
+	w := msa.Width()
+	gaps := make([]int, len(empty)*w)
+	for k := range gaps {
+		gaps[k] = Gap
+	}
+	for k, si := range empty {
+		ordered[si] = gaps[k*w : (k+1)*w : (k+1)*w]
+	}
 	return &MSA{Rows: ordered}, nil
+}
+
+// holdsGap reports whether any sequence carries the Gap symbol.
+func holdsGap(seqs [][]int) bool {
+	for _, s := range seqs {
+		for _, v := range s {
+			if v == Gap {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // consensus returns, per column, the most frequent non-gap symbol (ties

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"phasefold/internal/sim"
 )
@@ -288,6 +289,78 @@ func TestProgressiveMatchesOracle(t *testing.T) {
 		if g, w := got.consensus(), oracleConsensus(want); !reflect.DeepEqual(g, w) {
 			t.Fatalf("trial %d: consensus %v, oracle %v", trial, g, w)
 		}
+	}
+}
+
+// TestProgressiveSkipsEmptyMatchesOracle holds the empty-sequence shortcut
+// to the oracle, which aligns every sequence, over random mixes of empty
+// and non-empty sequences, Gap symbols included, plus the all-empty and
+// empty-first cases.
+func TestProgressiveSkipsEmptyMatchesOracle(t *testing.T) {
+	rng := sim.NewRNG(1703)
+	cases := [][][]int{
+		{nil},
+		{nil, nil, nil},
+		{nil, {1, 2, 3}, {1, 2}},
+		{{}, nil, {4, 4, 5}, nil, {4, 5}},
+	}
+	for trial := 0; trial < 1500; trial++ {
+		alpha, lo := 1+rng.Intn(6), -rng.Intn(2)
+		base := randomSeq(rng, 1+rng.Intn(60), alpha, lo)
+		seqs := make([][]int, 1+rng.Intn(12))
+		for i := range seqs {
+			switch rng.Intn(4) {
+			case 0:
+				seqs[i] = append([]int(nil), base...)
+			case 1:
+				seqs[i] = mutate(rng, base, alpha, lo)
+			default:
+				// left empty, as a rank with no records
+			}
+		}
+		cases = append(cases, seqs)
+	}
+	for n, seqs := range cases {
+		sc := oracleScorings[n%len(oracleScorings)]
+		got, err := Progressive(seqs, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := oracleProgressive(seqs, sc)
+		if len(got.Rows) != len(want.Rows) {
+			t.Fatalf("case %d: %d rows, oracle %d", n, len(got.Rows), len(want.Rows))
+		}
+		for r := range got.Rows {
+			if !sameInts(got.Rows[r], want.Rows[r]) {
+				t.Fatalf("case %d, scoring %+v, seqs=%v:\n got %v\nwant %v", n, sc, seqs, got.Rows, want.Rows)
+			}
+		}
+		if g, w := got.SPMDScore(), oracleSPMDScore(want); g != w {
+			t.Fatalf("case %d: SPMDScore %v, oracle %v", n, g, w)
+		}
+	}
+}
+
+// TestProgressiveManyEmptyRanks aligns two ranks of 60 symbols among 4647
+// ranks with no records: only the two real sequences cost alignment work.
+func TestProgressiveManyEmptyRanks(t *testing.T) {
+	seq := randomSeq(sim.NewRNG(6), 60, 4, 0)
+	seqs := make([][]int, 4649)
+	seqs[17], seqs[3000] = seq, mutate(sim.NewRNG(7), seq, 4, 0)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	msa, err := ProgressiveContext(ctx, seqs, DefaultScoring())
+	if err != nil {
+		t.Fatalf("aligning 2 of 4649 ranks: %v", err)
+	}
+	w := msa.Width()
+	for r, row := range msa.Rows {
+		if len(row) != w {
+			t.Fatalf("row %d has width %d, want %d", r, len(row), w)
+		}
+	}
+	if got := msa.SPMDScore(); got <= 0 || got > 2.0/4649 {
+		t.Fatalf("SPMDScore %v, want in (0, 2/4649]", got)
 	}
 }
 

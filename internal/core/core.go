@@ -670,6 +670,11 @@ func spmdScore(ctx context.Context, span *obs.Span, nRanks int, bursts []trace.B
 		}
 	}
 	span.SetAttr("symbols", symbols)
+	if symbols == 0 {
+		// No rank carries a clustered burst: the alignment would be
+		// empty and score 0, after work quadratic in the rank count.
+		return 0, ctx.Err()
+	}
 	msa, err := align.ProgressiveContext(ctx, seqs, align.DefaultScoring())
 	if err != nil {
 		return 0, ctx.Err()

@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 
 	"math"
 	"testing"
+	"time"
 
 	"phasefold/internal/counters"
 	"phasefold/internal/metrics"
@@ -226,5 +228,22 @@ func TestDeterministicAnalysis(t *testing.T) {
 		if f1.Breakpoints[i] != f2.Breakpoints[i] {
 			t.Fatal("breakpoints differ across identical runs")
 		}
+	}
+}
+
+// TestSPMDScoreOfUnclusteredRanks: when no rank carries a clustered burst
+// the score is 0 without an alignment, however many ranks the trace
+// declares, and a cancelled context is still reported.
+func TestSPMDScoreOfUnclusteredRanks(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	bursts := []trace.Burst{{Rank: 3, Cluster: -1}, {Rank: 19999, Cluster: -1}}
+	if got, err := spmdScore(ctx, nil, 20000, bursts); got != 0 || err != nil {
+		t.Fatalf("spmdScore over 20000 unclustered ranks = %v, %v; want 0, nil", got, err)
+	}
+	cancelled, stop := context.WithCancel(context.Background())
+	stop()
+	if _, err := spmdScore(cancelled, nil, 20000, bursts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("spmdScore under a cancelled context returned %v, want context.Canceled", err)
 	}
 }

@@ -56,9 +56,6 @@ func All() []Runner {
 		{"T4", "case studies", T4CaseStudies},
 		{"F5", "counter multiplexing", F5Multiplexing},
 		{"F6", "PWL vs kernel smoother", F6PWLvsKernel},
-		{"F7", "markerless period detection", F7SpectralPeriod},
-		{"F8", "markerless folding", F8MarkerlessFolding},
-		{"F9", "cross-scenario cluster tracking", F9Tracking},
 		{"F10", "per-phase power from folded energy", F10PowerPhases},
 		{"A1", "design-choice ablations", A1Ablations},
 		{"A2", "sampling-mode ablation", A2SamplingModes},

@@ -21,7 +21,6 @@ package folding
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"phasefold/internal/callstack"
@@ -397,32 +396,4 @@ func foldBurst(f *Folded, tr *trace.Trace, b *trace.Burst) {
 			f.Stacks = append(f.Stacks, StackSample{X: x, Stack: s.Stack})
 		}
 	}
-}
-
-// FoldAll folds every non-noise cluster present in bursts, returning results
-// keyed by label in ascending label order.
-func FoldAll(tr *trace.Trace, bursts []trace.Burst, opt Options) ([]*Folded, error) {
-	return FoldAllWith(TraceProjector(tr), bursts, opt)
-}
-
-// FoldAllWith is FoldAll with an explicit projection source; see Projector.
-func FoldAllWith(project Projector, bursts []trace.Burst, opt Options) ([]*Folded, error) {
-	seen := make(map[int]bool)
-	var labels []int
-	for i := range bursts {
-		if l := bursts[i].Cluster; l >= 0 && !seen[l] {
-			seen[l] = true
-			labels = append(labels, l)
-		}
-	}
-	sort.Ints(labels)
-	out := make([]*Folded, 0, len(labels))
-	for _, l := range labels {
-		f, err := FoldWith(project, bursts, l, opt)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, f)
-	}
-	return out, nil
 }

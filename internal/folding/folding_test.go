@@ -219,28 +219,6 @@ func TestFoldBimodalFallback(t *testing.T) {
 	}
 }
 
-func TestFoldAll(t *testing.T) {
-	tr, bursts := buildFoldingTrace(t, 60, 1, 3)
-	for i := range bursts {
-		bursts[i].Cluster = i % 3 // three interleaved clusters
-	}
-	folds, err := FoldAll(tr, bursts, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(folds) != 3 {
-		t.Fatalf("folded %d clusters", len(folds))
-	}
-	for i, f := range folds {
-		if f.Cluster != i {
-			t.Fatalf("fold %d has cluster %d (want ascending labels)", i, f.Cluster)
-		}
-		if f.NumBursts != 20 {
-			t.Fatalf("cluster %d folded %d bursts", i, f.NumBursts)
-		}
-	}
-}
-
 func TestFoldMissingCountersSkipped(t *testing.T) {
 	tr, bursts := buildFoldingTrace(t, 40, 1, 3)
 	f, err := Fold(tr, bursts, 0, Options{})

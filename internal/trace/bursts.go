@@ -298,16 +298,6 @@ func SortBursts(bursts []Burst) {
 	})
 }
 
-// BurstsByRegion groups burst indices by their region id, with deterministic
-// iteration order left to the caller via sorted keys.
-func BurstsByRegion(bursts []Burst) map[int64][]int {
-	out := make(map[int64][]int)
-	for i, b := range bursts {
-		out[b.Region] = append(out[b.Region], i)
-	}
-	return out
-}
-
 // TotalComputation sums the durations of all bursts, a denominator used by
 // coverage statistics in reports.
 func TotalComputation(bursts []Burst) sim.Duration {

@@ -220,15 +220,11 @@ func TestSortBursts(t *testing.T) {
 	}
 }
 
-func TestBurstsByRegionAndTotals(t *testing.T) {
+func TestTotalComputation(t *testing.T) {
 	bursts := []Burst{
 		{Region: 1, Start: 0, End: 10},
 		{Region: 2, Start: 0, End: 5},
 		{Region: 1, Start: 20, End: 40},
-	}
-	byRegion := BurstsByRegion(bursts)
-	if len(byRegion[1]) != 2 || len(byRegion[2]) != 1 {
-		t.Fatalf("BurstsByRegion = %v", byRegion)
 	}
 	if got := TotalComputation(bursts); got != 35 {
 		t.Fatalf("TotalComputation = %d, want 35", got)

@@ -56,7 +56,6 @@ import (
 	"phasefold/internal/service"
 	"phasefold/internal/sim"
 	"phasefold/internal/simapp"
-	"phasefold/internal/spectral"
 	"phasefold/internal/stream"
 	"phasefold/internal/trace"
 )
@@ -298,35 +297,6 @@ func Analyze(ctx context.Context, tr *Trace, opts ...Option) (*Model, error) {
 func AnalyzeApp(ctx context.Context, app App, cfg Config, opts ...Option) (*Model, *RunResult, error) {
 	s := newSettings(opts)
 	return core.AnalyzeApp(s.context(ctx), app, cfg, s.opt)
-}
-
-// Spectral-analysis re-exports: markerless analysis of sampling-only
-// traces (period detection and representative-window selection).
-type (
-	// Signal is a uniformly resampled performance-rate signal.
-	Signal = spectral.Signal
-	// Period is a detected iteration periodicity.
-	Period = spectral.Period
-	// Window is a representative stretch of the timeline.
-	Window = spectral.Window
-)
-
-// BuildSignal derives the rate signal of a counter for one rank from its
-// samples, resampled to the given step.
-func BuildSignal(tr *Trace, rank int, id CounterID, step Duration) (*Signal, error) {
-	return spectral.BuildSignal(tr, rank, id, step)
-}
-
-// DetectPeriod finds the dominant periodicity of a signal (minimum
-// autocorrelation strength minStrength, e.g. 0.3).
-func DetectPeriod(sig *Signal, minStrength float64) (Period, error) {
-	return spectral.DetectPeriod(sig, minStrength)
-}
-
-// SelectRepresentative picks the most self-similar window of nPeriods
-// consecutive periods.
-func SelectRepresentative(sig *Signal, p Period, nPeriods int) (Window, error) {
-	return spectral.SelectRepresentative(sig, p, nPeriods)
 }
 
 // PhaseRef names one phase within a Model, as returned by the
