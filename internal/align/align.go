@@ -29,11 +29,17 @@ package align
 
 import (
 	"context"
+	"errors"
 	"fmt"
 )
 
 // Gap is the symbol used for alignment gaps.
 const Gap = -1
+
+// ErrGapSymbol reports an input sequence that carries Gap as a symbol: the
+// progressive alignment reads a Gap in its consensus as an inserted gap
+// column, so such a symbol would be dropped.
+var ErrGapSymbol = errors.New("align: input symbol is Gap")
 
 // Scoring holds the alignment scores. Defaults follow the usual unit-cost
 // global alignment.
@@ -183,10 +189,18 @@ func Progressive(seqs [][]int, sc Scoring) (*MSA, error) {
 
 // ProgressiveContext is Progressive under a cancellable context: it checks
 // ctx before every pairwise alignment, and each alignment polls it every
-// pollRows DP rows.
+// pollRows DP rows. A sequence that carries the Gap symbol is rejected with
+// ErrGapSymbol.
 func ProgressiveContext(ctx context.Context, seqs [][]int, sc Scoring) (*MSA, error) {
 	if len(seqs) == 0 {
 		return nil, fmt.Errorf("align: no sequences")
+	}
+	for i, s := range seqs {
+		for j, v := range s {
+			if v == Gap {
+				return nil, fmt.Errorf("%w: sequence %d, position %d", ErrGapSymbol, i, j)
+			}
+		}
 	}
 	// Pick the longest sequence as the center (stable on ties).
 	center := 0
@@ -200,12 +214,10 @@ func ProgressiveContext(ctx context.Context, seqs [][]int, sc Scoring) (*MSA, er
 	order = append(order, center)
 	// An empty sequence aligned against the consensus adds no gap column,
 	// and the consensus ignores its all-gap row, so it skips the loop and
-	// gets an all-gap row of the final width at the end. That holds only
-	// while no input symbol is Gap: insertAligned reads a Gap in the
-	// consensus as a new gap column, so there every sequence is aligned.
-	// An empty center means every sequence is empty; the loop keeps those
-	// (spmdScore in internal/core does not align them at all).
-	skipEmpty := len(seqs[center]) > 0 && !holdsGap(seqs)
+	// gets an all-gap row of the final width at the end. An empty center
+	// means every sequence is empty; the loop keeps those (spmdScore in
+	// internal/core does not align them at all).
+	skipEmpty := len(seqs[center]) > 0
 	var empty []int
 	for i := range seqs {
 		if i == center {
@@ -240,18 +252,6 @@ func ProgressiveContext(ctx context.Context, seqs [][]int, sc Scoring) (*MSA, er
 		ordered[si] = gaps[k*w : (k+1)*w : (k+1)*w]
 	}
 	return &MSA{Rows: ordered}, nil
-}
-
-// holdsGap reports whether any sequence carries the Gap symbol.
-func holdsGap(seqs [][]int) bool {
-	for _, s := range seqs {
-		for _, v := range s {
-			if v == Gap {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // consensus returns, per column, the most frequent non-gap symbol (ties

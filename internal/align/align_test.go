@@ -1,6 +1,7 @@
 package align
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -141,6 +142,17 @@ func TestProgressiveRowOrderPreserved(t *testing.T) {
 func TestProgressiveEmpty(t *testing.T) {
 	if _, err := Progressive(nil, DefaultScoring()); err == nil {
 		t.Fatal("empty input accepted")
+	}
+}
+
+// TestProgressiveRejectsGapSymbol: a Gap (−1) among the input symbols used
+// to be read back as an inserted gap column, dropping real columns (row 1
+// came back as [0 -1 -1 -1 -1 -1 -1 -1 -1]).
+func TestProgressiveRejectsGapSymbol(t *testing.T) {
+	seqs := [][]int{{}, {0, -1, -1, 0, 0, 0, -1, 0, -1}, {-1}}
+	msa, err := Progressive(seqs, Scoring{Match: 1, Mismatch: 3, GapOpen: -1})
+	if !errors.Is(err, ErrGapSymbol) {
+		t.Fatalf("Progressive(%v) = %v, %v; want ErrGapSymbol", seqs, msa, err)
 	}
 }
 

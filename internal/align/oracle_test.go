@@ -276,6 +276,12 @@ func TestProgressiveMatchesOracle(t *testing.T) {
 		}
 		sc := oracleScorings[trial%len(oracleScorings)]
 		got, err := Progressive(seqs, sc)
+		if carriesGap(seqs) {
+			if !errors.Is(err, ErrGapSymbol) {
+				t.Fatalf("trial %d, seqs=%v: err %v, want ErrGapSymbol", trial, seqs, err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,10 +298,23 @@ func TestProgressiveMatchesOracle(t *testing.T) {
 	}
 }
 
+// carriesGap reports whether any sequence carries the Gap symbol, which
+// Progressive rejects.
+func carriesGap(seqs [][]int) bool {
+	for _, s := range seqs {
+		for _, v := range s {
+			if v == Gap {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // TestProgressiveSkipsEmptyMatchesOracle holds the empty-sequence shortcut
 // to the oracle, which aligns every sequence, over random mixes of empty
-// and non-empty sequences, Gap symbols included, plus the all-empty and
-// empty-first cases.
+// and non-empty sequences, plus the all-empty and empty-first cases. Inputs
+// that carry the Gap symbol must be rejected instead.
 func TestProgressiveSkipsEmptyMatchesOracle(t *testing.T) {
 	rng := sim.NewRNG(1703)
 	cases := [][][]int{
@@ -323,6 +342,12 @@ func TestProgressiveSkipsEmptyMatchesOracle(t *testing.T) {
 	for n, seqs := range cases {
 		sc := oracleScorings[n%len(oracleScorings)]
 		got, err := Progressive(seqs, sc)
+		if carriesGap(seqs) {
+			if !errors.Is(err, ErrGapSymbol) {
+				t.Fatalf("case %d, seqs=%v: err %v, want ErrGapSymbol", n, seqs, err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -688,10 +688,18 @@ func spmdScore(ctx context.Context, span *obs.Span, nRanks int, bursts []trace.B
 // records — the folded cloud carries everything else.
 func fitCluster(ctx context.Context, syms *callstack.SymbolTable, stacks *callstack.Interner, ca *ClusterAnalysis, opt Options) error {
 	f := ca.Folded
-	xs, ys := pointsOf(f, counters.Instructions)
-	if len(xs) < opt.MinFoldedPoints {
+	if f.NumPoints(counters.Instructions) < opt.MinFoldedPoints {
 		return nil // too sparse: keep cluster stats, skip phase model
 	}
+	// One x/y pair, sized to the largest cloud, serves the primary fit and
+	// every refit: a pwl.Model keeps no reference to its inputs.
+	n := 0
+	for id := range f.Points {
+		n = max(n, len(f.Points[id]))
+	}
+	buf := make([]float64, 2*n)
+	xbuf, ybuf := buf[:n], buf[n:]
+	xs, ys := pointsOf(f, counters.Instructions, xbuf, ybuf)
 	fit, err := pwl.FitContext(ctx, xs, ys, opt.PWL)
 	if err != nil {
 		return fmt.Errorf("fitting instructions: %w", err)
@@ -708,7 +716,7 @@ func fitCluster(ctx context.Context, syms *callstack.SymbolTable, stacks *callst
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		cx, cy := pointsOf(f, id)
+		cx, cy := pointsOf(f, id, xbuf, ybuf)
 		if len(cx) < opt.MinFoldedPoints/2 {
 			continue
 		}
@@ -746,10 +754,11 @@ func fitCluster(ctx context.Context, syms *callstack.SymbolTable, stacks *callst
 	return nil
 }
 
-func pointsOf(f *folding.Folded, id counters.ID) (xs, ys []float64) {
+// pointsOf splits counter id's folded cloud into the leading elements of
+// xbuf and ybuf, which must be at least as long as the cloud.
+func pointsOf(f *folding.Folded, id counters.ID, xbuf, ybuf []float64) (xs, ys []float64) {
 	pts := f.Points[id]
-	xs = make([]float64, len(pts))
-	ys = make([]float64, len(pts))
+	xs, ys = xbuf[:len(pts)], ybuf[:len(pts)]
 	for i, p := range pts {
 		xs[i] = p.X
 		ys[i] = p.Y

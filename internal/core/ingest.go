@@ -550,18 +550,13 @@ func (in *Ingest) Buffered() int { return in.buffered }
 func (in *Ingest) Peak() int { return in.peak }
 
 // Projector returns the folded-observation source of the bursts ingested so
-// far: the resident records, or the clouds built as samples linked. A
-// cloud is looked up by its burst's key, so the clouds of ranks the settle
-// leaves out are never read.
+// far: the resident records, or the clouds built as samples linked, looked
+// up in the map of the rank a burst's key names.
 func (in *Ingest) Projector() folding.Projector {
 	if in.resident != nil {
 		return folding.TraceProjector(in.resident)
 	}
-	clouds := make(map[folding.BurstKey]*folding.BurstCloud)
-	for r := range in.ranks {
-		for k, c := range in.ranks[r].clouds {
-			clouds[k] = c
-		}
-	}
-	return folding.CloudProjector(clouds)
+	return folding.CloudProjector(func(k folding.BurstKey) *folding.BurstCloud {
+		return in.ranks[k.Rank].clouds[k]
+	})
 }

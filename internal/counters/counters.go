@@ -135,7 +135,7 @@ func (s Set) Add(o Set) Set {
 }
 
 // Get returns the value of counter id and whether it was captured.
-func (s Set) Get(id ID) (int64, bool) {
+func (s *Set) Get(id ID) (int64, bool) {
 	if !id.Valid() || s.missing&(1<<id) != 0 {
 		return 0, false
 	}
@@ -144,7 +144,7 @@ func (s Set) Get(id ID) (int64, bool) {
 
 // Captured returns the presence mask: bit id is set when counter id was
 // captured.
-func (s Set) Captured() uint16 { return ^s.missing & allMask }
+func (s *Set) Captured() uint16 { return ^s.missing & allMask }
 
 // Complete reports whether every counter in the set was captured.
 func (s Set) Complete() bool { return s.missing == 0 }

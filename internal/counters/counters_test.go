@@ -56,10 +56,11 @@ func TestMissingPropagation(t *testing.T) {
 	var a, b Set
 	a.Put(Instructions, 100)
 	b.Drop(Instructions)
-	if _, ok := a.Sub(b).Get(Instructions); ok {
+	diff, sum := a.Sub(b), b.Add(a)
+	if _, ok := diff.Get(Instructions); ok {
 		t.Fatal("Sub with Missing operand did not propagate Missing")
 	}
-	if _, ok := b.Add(a).Get(Instructions); ok {
+	if _, ok := sum.Get(Instructions); ok {
 		t.Fatal("Add with Missing operand did not propagate Missing")
 	}
 }

@@ -32,11 +32,11 @@ func KeyOf(b *trace.Burst) BurstKey {
 // The cloud is sample-major: one row per projected sample holding its X, the
 // Y of every captured counter, a presence mask and the stack, so a burst
 // grows one slice rather than one per counter. Observe applies exactly the
-// arithmetic of the batch projection (foldBurst), and CloudProjector replays
-// the rows counter by counter, so each counter receives the identical
-// per-burst point sequence; replaying members in the batch member order
-// therefore yields the identical pre-sort clouds, and hence identical sorted
-// output.
+// arithmetic of the batch projection (TraceProjector), and CloudProjector
+// replays the rows counter by counter, so each counter receives the
+// identical per-burst point sequence; replaying members in the batch member
+// order therefore yields the identical pre-sort clouds, and hence identical
+// sorted output.
 type BurstCloud struct {
 	rows []cloudRow
 }
@@ -63,16 +63,13 @@ func (c *BurstCloud) Observe(b *trace.Burst, s *trace.Sample) {
 	if x < 0 || x > 1 {
 		return
 	}
-	r := cloudRow{x: x, stack: s.Stack}
-	for id := counters.ID(0); id < counters.NumIDs; id++ {
-		sv, ok1 := s.Counters.Get(id)
-		base, ok2 := b.StartCtr.Get(id)
-		total, ok3 := b.Delta.Get(id)
-		if !ok1 || !ok2 || !ok3 || total <= 0 {
-			continue
-		}
+	r := cloudRow{x: x, mask: s.Counters.Captured() & normalizable(b), stack: s.Stack}
+	for m := r.mask; m != 0; m &= m - 1 {
+		id := counters.ID(bits.TrailingZeros16(m))
+		sv, _ := s.Counters.Get(id)
+		base, _ := b.StartCtr.Get(id)
+		total, _ := b.Delta.Get(id)
 		r.y[id] = sim.Clamp(float64(sv-base)/float64(total), 0, 1)
-		r.mask |= 1 << id
 	}
 	if r.mask != 0 || r.stack != callstack.NoStack {
 		c.rows = append(c.rows, r)
@@ -88,29 +85,41 @@ func (c *BurstCloud) NumPoints() int {
 	return n
 }
 
-// CloudProjector adapts a set of eagerly-built per-burst clouds into the
-// Projector the folding algebra consumes. Bursts without a cloud (no
-// samples attached, or every projection skipped) contribute nothing, exactly
-// as the batch projection would.
-func CloudProjector(clouds map[BurstKey]*BurstCloud) Projector {
-	return func(f *Folded, b *trace.Burst) {
-		c := clouds[KeyOf(b)]
-		if c == nil {
-			return
-		}
-		for id := range f.Points {
-			pts := f.Points[id]
-			for i := range c.rows {
-				if r := &c.rows[i]; r.mask&(1<<id) != 0 {
-					pts = append(pts, Point{X: r.x, Y: r.y[id]})
-				}
-			}
-			f.Points[id] = pts
-		}
+// CloudProjector adapts eagerly-built per-burst clouds, found by burst key
+// through cloud, into the Projector the folding algebra consumes. Bursts
+// without a cloud (no samples attached, or every projection skipped)
+// contribute nothing, exactly as the batch projection would.
+func CloudProjector(cloud func(BurstKey) *BurstCloud) Projector {
+	return cloudProjector(cloud)
+}
+
+type cloudProjector func(BurstKey) *BurstCloud
+
+func (p cloudProjector) size(n *cloudSize, b *trace.Burst) {
+	if c := p(KeyOf(b)); c != nil {
 		for i := range c.rows {
-			if r := &c.rows[i]; r.stack != callstack.NoStack {
-				f.Stacks = append(f.Stacks, StackSample{X: r.x, Stack: r.stack})
+			n.add(c.rows[i].mask, c.rows[i].stack)
+		}
+	}
+}
+
+func (p cloudProjector) project(f *Folded, b *trace.Burst) {
+	c := p(KeyOf(b))
+	if c == nil {
+		return
+	}
+	for id := range f.Points {
+		pts := f.Points[id]
+		for i := range c.rows {
+			if r := &c.rows[i]; r.mask&(1<<id) != 0 {
+				pts = append(pts, Point{X: r.x, Y: r.y[id]})
 			}
+		}
+		f.Points[id] = pts
+	}
+	for i := range c.rows {
+		if r := &c.rows[i]; r.stack != callstack.NoStack {
+			f.Stacks = append(f.Stacks, StackSample{X: r.x, Stack: r.stack})
 		}
 	}
 }

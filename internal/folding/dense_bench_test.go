@@ -17,20 +17,26 @@ import (
 // streamed dense trace, where each fold sorts thousands of points per
 // counter.
 func denseFixture(b *testing.B) (*trace.Trace, []trace.Burst, []int) {
-	b.Helper()
-	app, err := simapp.NewApp("cg")
-	if err != nil {
-		b.Fatal(err)
-	}
 	opt := core.DefaultOptions()
 	opt.SamplingPeriod = 100 * sim.Microsecond
-	run, err := core.RunApp(app, simapp.Config{Ranks: 4, Iterations: 200, Seed: 42, FreqGHz: 2}, opt)
+	return analyzedFixture(b, "cg", simapp.Config{Ranks: 4, Iterations: 200, Seed: 42, FreqGHz: 2}, opt)
+}
+
+// analyzedFixture simulates app under cfg and opt, analyzes the trace, and
+// returns it with its clustered bursts and the cluster labels.
+func analyzedFixture(tb testing.TB, name string, cfg simapp.Config, opt core.Options) (*trace.Trace, []trace.Burst, []int) {
+	tb.Helper()
+	app, err := simapp.NewApp(name)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
+	}
+	run, err := core.RunApp(app, cfg, opt)
+	if err != nil {
+		tb.Fatal(err)
 	}
 	m, err := core.Analyze(context.Background(), run.Trace, opt)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	labels := make([]int, 0, len(m.Clusters))
 	for _, ca := range m.Clusters {

@@ -20,6 +20,7 @@ package folding
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -30,9 +31,10 @@ import (
 )
 
 // foldScratch is the per-call working set of Fold — the member list, the
-// duration vector, and one delta vector per counter id. The analysis
-// pipeline folds many clusters concurrently, so the scratch is pooled: a
-// steady-state Fold allocates only the Folded result it returns. The
+// duration vector and one delta vector per counter id (the medians select in
+// place in them), the sort keys and the cloud sizes. The analysis pipeline
+// folds many clusters concurrently, so the scratch is pooled: a steady-state
+// Fold allocates only the Folded result it returns and its clouds. The
 // relaxed-band retry inside Fold recurses, which is safe — the inner call
 // simply draws a second scratch from the pool.
 type foldScratch struct {
@@ -40,6 +42,7 @@ type foldScratch struct {
 	durs    []float64
 	deltas  [counters.NumIDs][]float64
 	keys    []xKey
+	size    cloudSize // kept here: passed to a Projector, a local would escape
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(foldScratch) }}
@@ -136,22 +139,66 @@ func (f *Folded) RateScale(id counters.ID) (float64, bool) {
 	return float64(total) / f.RepDuration.Seconds(), true
 }
 
-// Projector appends one burst's folded observations (normalized points and
-// stack samples) to f. It is the seam between the folding algebra — median
-// durations, outlier pruning, delta medians, the final sort — and the source
-// of the per-sample projections: the batch path projects lazily out of a
-// resident trace (TraceProjector), the streaming path replays clouds built
-// eagerly as samples arrived (CloudProjector). Both append identical values
-// in identical order, which keeps the two paths byte-identical through the
-// unstable final sort. That sort orders the longest cloud's X sequence once
-// and applies the permutation to every cloud sharing it (see sortClouds):
-// under a native PMU all counters and the stack timeline take one sort.
-type Projector func(f *Folded, b *trace.Burst)
+// Projector is the source of a fold's per-sample projections. It is the
+// seam between the folding algebra — median durations, outlier pruning,
+// delta medians, the final sort — and where the projections come from: the
+// batch path projects lazily out of a resident trace (TraceProjector), the
+// streaming path replays clouds built eagerly as samples arrived
+// (CloudProjector). Both append identical values in identical order, which
+// keeps the two paths byte-identical through the unstable final sort. That
+// sort orders the longest cloud's X sequence once and applies the
+// permutation to every cloud sharing it (see sortClouds): under a native PMU
+// all counters and the stack timeline take one sort.
+type Projector interface {
+	// size adds to n the points burst b projects into each counter's cloud
+	// and the samples it adds to the stack timeline.
+	size(n *cloudSize, b *trace.Burst)
+	// project appends b's projections to f's clouds and stack timeline:
+	// exactly what size counted.
+	project(f *Folded, b *trace.Burst)
+}
+
+// cloudSize counts the points of each counter's cloud and the samples of the
+// stack timeline a fold will hold, so each is allocated once at its size.
+type cloudSize struct {
+	points [counters.NumIDs]int
+	stacks int
+}
+
+// add counts one projected sample: a point for each counter in mask, and a
+// stack sample unless stack is NoStack.
+func (n *cloudSize) add(mask uint16, stack callstack.StackID) {
+	for ; mask != 0; mask &= mask - 1 {
+		n.points[bits.TrailingZeros16(mask)]++
+	}
+	if stack != callstack.NoStack {
+		n.stacks++
+	}
+}
+
+// alloc gives f's clouds and stack timeline the capacity n counted, with
+// every counter cloud cut from one slab. A counter with no points keeps a
+// nil cloud.
+func (f *Folded) alloc(n *cloudSize) {
+	total := 0
+	for _, c := range n.points {
+		total += c
+	}
+	slab := make([]Point, total)
+	for id, c := range n.points {
+		if c > 0 {
+			f.Points[id], slab = slab[:0:c], slab[c:]
+		}
+	}
+	if n.stacks > 0 {
+		f.Stacks = make([]StackSample, 0, n.stacks)
+	}
+}
 
 // TraceProjector projects burst samples directly out of the resident trace —
 // the batch path.
 func TraceProjector(tr *trace.Trace) Projector {
-	return func(f *Folded, b *trace.Burst) { foldBurst(f, tr, b) }
+	return traceProjector{tr}
 }
 
 // Fold projects the samples of all bursts labelled label onto the synthetic
@@ -186,10 +233,12 @@ func FoldWith(project Projector, bursts []trace.Burst, label int, opt Options) (
 		durs = append(durs, float64(b.Duration()))
 	}
 	sc.durs = durs
-	medDur := sim.Median(durs)
+	medDur := sim.QuantileInPlace(durs, 0.5)
 	f.RepDuration = sim.Duration(medDur)
 
-	// Collect per-counter deltas of the used bursts for the medians.
+	// Keep the used bursts, in member order, and collect their per-counter
+	// deltas for the medians.
+	used := members[:0]
 	deltas := &sc.deltas
 	for _, b := range members {
 		if opt.DurationBand > 0 {
@@ -201,14 +250,14 @@ func FoldWith(project Projector, bursts []trace.Burst, label int, opt Options) (
 		if opt.MinBurstSamples > 0 && b.NumSmp < opt.MinBurstSamples {
 			continue
 		}
-		f.UsedBursts++
+		used = append(used, b)
 		for id := counters.ID(0); id < counters.NumIDs; id++ {
 			if v, ok := b.Delta.Get(id); ok {
 				deltas[id] = append(deltas[id], float64(v))
 			}
 		}
-		project(f, b)
 	}
+	f.UsedBursts = len(used)
 	if f.UsedBursts == 0 && opt.DurationBand > 0 {
 		// A bimodal cluster (structure detection merged two behaviours) can
 		// place the median duration in an empty gap, pruning every member.
@@ -219,13 +268,24 @@ func FoldWith(project Projector, bursts []trace.Burst, label int, opt Options) (
 		return FoldWith(project, bursts, label, relaxed)
 	}
 	if f.UsedBursts == 0 {
-		return nil, fmt.Errorf("folding: cluster %d: all %d bursts pruned", label, len(members))
+		return nil, fmt.Errorf("folding: cluster %d: all %d bursts pruned", label, f.NumBursts)
 	}
 	f.TotalDelta = counters.AllMissing()
 	for id := counters.ID(0); id < counters.NumIDs; id++ {
 		if len(deltas[id]) > 0 {
-			f.TotalDelta.Put(id, int64(sim.Median(deltas[id])))
+			f.TotalDelta.Put(id, int64(sim.QuantileInPlace(deltas[id], 0.5)))
 		}
+	}
+
+	// Size every cloud, allocate each once, then project.
+	n := &sc.size
+	*n = cloudSize{}
+	for _, b := range used {
+		project.size(n, b)
+	}
+	f.alloc(n)
+	for _, b := range used {
+		project.project(f, b)
 	}
 	sortClouds(f, sc)
 	return f, nil
@@ -366,29 +426,55 @@ func sameStackX(a []StackSample, b []Point) bool {
 	return true
 }
 
-// foldBurst projects one burst's samples into the cloud.
-func foldBurst(f *Folded, tr *trace.Trace, b *trace.Burst) {
-	if b.FirstSmp < 0 || b.NumSmp == 0 {
-		return
+// normalizable returns the mask of the counters b's samples can be
+// normalized by: captured at its start, with a positive delta.
+func normalizable(b *trace.Burst) uint16 {
+	mask := b.StartCtr.Captured() & b.Delta.Captured()
+	for m := mask; m != 0; m &= m - 1 {
+		id := counters.ID(bits.TrailingZeros16(m))
+		if total, _ := b.Delta.Get(id); total <= 0 {
+			mask &^= 1 << id
+		}
 	}
+	return mask
+}
+
+type traceProjector struct{ tr *trace.Trace }
+
+// samples returns b's linked samples, its duration and its normalizable
+// counters; no samples when b projects nothing.
+func (p traceProjector) samples(b *trace.Burst) ([]trace.Sample, float64, uint16) {
 	dur := float64(b.Duration())
-	if dur <= 0 {
-		return
+	if b.FirstSmp < 0 || b.NumSmp == 0 || dur <= 0 {
+		return nil, 0, 0
 	}
-	samples := tr.Rank(int(b.Rank)).Samples[b.FirstSmp : b.FirstSmp+b.NumSmp]
+	return p.tr.Rank(int(b.Rank)).Samples[b.FirstSmp : b.FirstSmp+b.NumSmp], dur, normalizable(b)
+}
+
+func (p traceProjector) size(n *cloudSize, b *trace.Burst) {
+	samples, dur, mask := p.samples(b)
+	for i := range samples {
+		s := &samples[i]
+		if x := float64(s.Time-b.Start) / dur; x < 0 || x > 1 {
+			continue
+		}
+		n.add(s.Counters.Captured()&mask, s.Stack)
+	}
+}
+
+func (p traceProjector) project(f *Folded, b *trace.Burst) {
+	samples, dur, mask := p.samples(b)
 	for i := range samples {
 		s := &samples[i]
 		x := float64(s.Time-b.Start) / dur
 		if x < 0 || x > 1 {
 			continue
 		}
-		for id := counters.ID(0); id < counters.NumIDs; id++ {
-			sv, ok1 := s.Counters.Get(id)
-			base, ok2 := b.StartCtr.Get(id)
-			total, ok3 := b.Delta.Get(id)
-			if !ok1 || !ok2 || !ok3 || total <= 0 {
-				continue
-			}
+		for m := s.Counters.Captured() & mask; m != 0; m &= m - 1 {
+			id := counters.ID(bits.TrailingZeros16(m))
+			sv, _ := s.Counters.Get(id)
+			base, _ := b.StartCtr.Get(id)
+			total, _ := b.Delta.Get(id)
 			y := sim.Clamp(float64(sv-base)/float64(total), 0, 1)
 			f.Points[id] = append(f.Points[id], Point{X: x, Y: y})
 		}

@@ -270,7 +270,7 @@ func TestCloudFoldMatchesOracle(t *testing.T) {
 				}
 			}
 			oracleSort(want)
-			got, err := FoldWith(CloudProjector(clouds), bursts, label, Options{})
+			got, err := FoldWith(CloudProjector(func(k BurstKey) *BurstCloud { return clouds[k] }), bursts, label, Options{})
 			if err != nil {
 				continue // no members with this label
 			}

@@ -154,8 +154,9 @@ func (s *Sampler) Observe(m *simapp.Machine, t0, t1 sim.Time, counterAt func(sim
 // threshold within the segment. Counters evolve linearly inside a segment,
 // so crossing times follow by inversion.
 func (s *Sampler) observeOverflow(m *simapp.Machine, t0, t1 sim.Time, counterAt func(sim.Time) counters.Set) {
-	c0, ok0 := counterAt(t0).Get(s.opt.Trigger)
-	c1, ok1 := counterAt(t1).Get(s.opt.Trigger)
+	at0, at1 := counterAt(t0), counterAt(t1)
+	c0, ok0 := at0.Get(s.opt.Trigger)
+	c1, ok1 := at1.Get(s.opt.Trigger)
 	if !ok0 || !ok1 {
 		return
 	}

@@ -93,7 +93,7 @@ type Burst struct {
 const ClusterNone = -2
 
 // Duration returns the burst length.
-func (b Burst) Duration() sim.Duration { return b.End - b.Start }
+func (b *Burst) Duration() sim.Duration { return b.End - b.Start }
 
 // Contains reports whether virtual time t falls inside the burst.
-func (b Burst) Contains(t sim.Time) bool { return t >= b.Start && t < b.End }
+func (b *Burst) Contains(t sim.Time) bool { return t >= b.Start && t < b.End }
