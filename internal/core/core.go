@@ -727,6 +727,7 @@ func fitCluster(ctx context.Context, syms *callstack.SymbolTable, stacks *callst
 		fits[id] = cm
 	}
 
+	attrib := folding.NewAttributor(stacks)
 	for _, seg := range fit.Segments() {
 		ph := Phase{X0: seg.X0, X1: seg.X1}
 		ph.Duration = sim.Duration(float64(f.RepDuration) * (seg.X1 - seg.X0))
@@ -740,11 +741,11 @@ func fitCluster(ctx context.Context, syms *callstack.SymbolTable, stacks *callst
 			ph.RatesOK[id] = true
 		}
 		ph.Metrics, ph.MetricsOK = metrics.MetricsFromRates(ph.Rates, ph.RatesOK)
-		if attr, ok := folding.Attribute(f, stacks, seg.X0, seg.X1); ok {
+		if attr, prof, ok := attrib.Interval(f, seg.X0, seg.X1); ok {
 			ph.Attribution = attr
 			ph.Attributed = true
 			ph.Source = syms.FormatFrame(callstack.Frame{Routine: attr.Routine, Line: attr.Line})
-			ph.Profile = folding.Profile(f, stacks, seg.X0, seg.X1)
+			ph.Profile = prof
 			if len(ph.Profile) > 5 {
 				ph.Profile = ph.Profile[:5]
 			}

@@ -89,12 +89,13 @@ func reportHealth(ranks []healthRank, ds *diagSink) {
 // sampleLoss compares the rank's sample count against the count its own
 // median sampling period predicts for its time span. The median is robust to
 // the loss itself (each dropped sample inflates only one gap), so moderate
-// loss rates remain visible.
+// loss rates remain visible. The median is selected in place: nothing reads
+// the gaps afterwards.
 func (hr *healthRank) sampleLoss() (missing, expected int) {
 	if hr.samples < healthMinSamples {
 		return 0, hr.samples
 	}
-	med := sim.Median(hr.gaps)
+	med := sim.QuantileInPlace(hr.gaps, 0.5)
 	if med <= 0 {
 		return 0, hr.samples
 	}

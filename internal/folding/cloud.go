@@ -36,9 +36,11 @@ func KeyOf(b *trace.Burst) BurstKey {
 // replays the rows counter by counter, so each counter receives the
 // identical per-burst point sequence; replaying members in the batch member
 // order therefore yields the identical pre-sort clouds, and hence identical
-// sorted output.
+// sorted output. The cloud counts its points per counter and its stack
+// samples as rows arrive, so a fold sizes its clouds without reading rows.
 type BurstCloud struct {
 	rows []cloudRow
+	n    cloudSize
 }
 
 // cloudRow is one projected sample. Bit id of mask is set when y[id] holds
@@ -73,14 +75,15 @@ func (c *BurstCloud) Observe(b *trace.Burst, s *trace.Sample) {
 	}
 	if r.mask != 0 || r.stack != callstack.NoStack {
 		c.rows = append(c.rows, r)
+		c.n.add(r.mask, r.stack)
 	}
 }
 
 // NumPoints returns the observation count summed over all counters.
 func (c *BurstCloud) NumPoints() int {
 	n := 0
-	for i := range c.rows {
-		n += bits.OnesCount16(c.rows[i].mask)
+	for _, k := range c.n.points {
+		n += int(k)
 	}
 	return n
 }
@@ -97,9 +100,11 @@ type cloudProjector func(BurstKey) *BurstCloud
 
 func (p cloudProjector) size(n *cloudSize, b *trace.Burst) {
 	if c := p(KeyOf(b)); c != nil {
-		for i := range c.rows {
-			n.add(c.rows[i].mask, c.rows[i].stack)
+		for id, k := range c.n.points {
+			n.points[id] += k
 		}
+		n.stacks += c.n.stacks
+		n.rows += c.n.rows
 	}
 }
 

@@ -85,3 +85,20 @@ func BenchmarkBurstCloudObserve(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFoldDenseStreamed folds every cluster of the dense cg fixture out
+// of streamed burst clouds, as a streaming session's Done does.
+func BenchmarkFoldDenseStreamed(b *testing.B) {
+	tr, bursts, labels := denseFixture(b)
+	project := streamedClouds(tr, bursts)
+	opt := folding.DefaultOptions()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, l := range labels {
+			if _, err := folding.FoldWith(project, bursts, l, opt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -19,6 +19,7 @@
 package folding
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -32,16 +33,17 @@ import (
 
 // foldScratch is the per-call working set of Fold — the member list, the
 // duration vector and one delta vector per counter id (the medians select in
-// place in them), the sort keys and the cloud sizes. The analysis pipeline
-// folds many clusters concurrently, so the scratch is pooled: a steady-state
-// Fold allocates only the Folded result it returns and its clouds. The
-// relaxed-band retry inside Fold recurses, which is safe — the inner call
-// simply draws a second scratch from the pool.
+// place in them), the sort keys and bucket offsets, and the cloud sizes.
+// The analysis pipeline folds many clusters concurrently, so the scratch is
+// pooled: a steady-state Fold allocates only the Folded result it returns
+// and its clouds. The relaxed-band retry inside Fold recurses, which is
+// safe — the inner call simply draws a second scratch from the pool.
 type foldScratch struct {
 	members []*trace.Burst
 	durs    []float64
 	deltas  [counters.NumIDs][]float64
 	keys    []xKey
+	offsets []int32   // the bucket sort's offsets
 	size    cloudSize // kept here: passed to a Projector, a local would escape
 }
 
@@ -103,9 +105,10 @@ type Folded struct {
 	// TotalDelta is the per-counter median delta across used bursts;
 	// counters never captured are missing.
 	TotalDelta counters.Set
-	// Points is the folded cloud per counter, sorted by X.
+	// Points is the folded cloud per counter, sorted stably by X: ties
+	// keep their projection order.
 	Points [counters.NumIDs][]Point
-	// Stacks is the folded call-stack timeline, sorted by X.
+	// Stacks is the folded call-stack timeline, sorted stably by X.
 	Stacks []StackSample
 }
 
@@ -144,8 +147,8 @@ func (f *Folded) RateScale(id counters.ID) (float64, bool) {
 // delta medians, the final sort — and where the projections come from: the
 // batch path projects lazily out of a resident trace (TraceProjector), the
 // streaming path replays clouds built eagerly as samples arrived
-// (CloudProjector). Both append identical values in identical order, which
-// keeps the two paths byte-identical through the unstable final sort. That
+// (CloudProjector). Both append identical values in identical order, and
+// the final sort is stable by X, so the two paths stay byte-identical. That
 // sort orders the longest cloud's X sequence once and applies the
 // permutation to every cloud sharing it (see sortClouds): under a native PMU
 // all counters and the stack timeline take one sort.
@@ -159,15 +162,23 @@ type Projector interface {
 }
 
 // cloudSize counts the points of each counter's cloud and the samples of the
-// stack timeline a fold will hold, so each is allocated once at its size.
+// stack timeline a fold will hold, so each is allocated once at its size,
+// and the projected samples (rows) they come from. A streamed BurstCloud
+// keeps one too, so its fields are int32: a cloud of 2³¹ points would not
+// fit in memory anyway.
 type cloudSize struct {
-	points [counters.NumIDs]int
-	stacks int
+	points [counters.NumIDs]int32
+	stacks int32
+	rows   int32
 }
 
 // add counts one projected sample: a point for each counter in mask, and a
 // stack sample unless stack is NoStack.
 func (n *cloudSize) add(mask uint16, stack callstack.StackID) {
+	if mask == 0 && stack == callstack.NoStack {
+		return
+	}
+	n.rows++
 	for ; mask != 0; mask &= mask - 1 {
 		n.points[bits.TrailingZeros16(mask)]++
 	}
@@ -182,7 +193,7 @@ func (n *cloudSize) add(mask uint16, stack callstack.StackID) {
 func (f *Folded) alloc(n *cloudSize) {
 	total := 0
 	for _, c := range n.points {
-		total += c
+		total += int(c)
 	}
 	slab := make([]Point, total)
 	for id, c := range n.points {
@@ -291,41 +302,113 @@ func FoldWith(project Projector, bursts []trace.Burst, label int, opt Options) (
 	return f, nil
 }
 
-// xKey is one point of a reference cloud during the shared sort: its X and
-// its position before the sort.
+// xKey is one element of a cloud during a sort: its X and its position
+// before the sort.
 type xKey struct {
 	x float64
 	i int
 }
 
-// cmpX orders by X alone. slices.SortFunc only ever asks cmpX(a, b) < 0,
-// that is a.X < b.X, and runs the same pdqsort template as sort.Slice, so
-// it makes the same comparisons and swaps as sort.Slice with that less
-// function and yields the same permutation, ties included. The oracle and
-// fuzz tests in this package pin that identity on every toolchain.
-func cmpX(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
+// cmpKey is the fold's one order: by X, then by position before the sort.
+// It is total, so the sorted order is the stable sort by X whatever
+// algorithm produces it.
+func cmpKey(a, b xKey) int {
+	if c := cmp.Compare(a.x, b.x); c != 0 {
+		return c
 	}
-	return 0
+	return cmp.Compare(a.i, b.i)
 }
 
-func cmpKeyX(a, b xKey) int          { return cmpX(a.x, b.x) }
-func cmpPointX(a, b Point) int       { return cmpX(a.X, b.X) }
-func cmpStackX(a, b StackSample) int { return cmpX(a.X, b.X) }
+// bucketSortMax is the largest bucket sorted by insertion; a larger one
+// (many equal or nearly equal X) takes slices.SortFunc, so no input is
+// quadratic.
+const bucketSortMax = 32
 
-// sortClouds sorts every counter cloud and the stack timeline of f by X,
-// each into exactly the order an unstable sort of that cloud alone would
-// give. Most clouds of a cluster share one pre-sort X sequence (every sample
-// projects into every captured counter and the stack timeline), and a sort
-// driven only by X comparisons permutes equal key sequences identically. So
-// the longest cloud is sorted once as (X, index) keys, and the resulting
-// permutation is applied in place to every cloud whose X sequence equals it
-// position by position. A cloud with a different sequence — a multiplexed
-// counter, or one skipped in some bursts — is sorted on its own.
+// buckets is a counting sort of one cloud's keys by X over about n/2
+// equal-width buckets of [0, 1]. The bucket index is monotone in X, so every
+// key of a bucket orders before every key of the next; X outside [0, 1]
+// lands in the first or last bucket, and NaN in the first, where cmp.Compare
+// orders it before every number. A cloud is counted (count), the keys are
+// placed in cloud order (place), which keeps each bucket in index order,
+// and each bucket is then sorted on its own (sort). On the clouds a fold
+// makes, buckets hold two keys on average, so the sort is linear.
+type buckets struct {
+	fnb float64
+	at  []int32 // counts, then each bucket's next free slot; at[nb] == n
+}
+
+// buckets returns the bucket sort of n keys, its offsets in sc.
+func (sc *foldScratch) buckets(n int) buckets {
+	nb := max(1, n/2)
+	sc.offsets = slices.Grow(sc.offsets[:0], nb+1)[:nb+1]
+	clear(sc.offsets)
+	return buckets{fnb: float64(nb), at: sc.offsets}
+}
+
+func (bk buckets) of(x float64) int {
+	f := x * bk.fnb
+	switch {
+	case !(f >= 0):
+		return 0
+	case f >= bk.fnb:
+		return len(bk.at) - 2
+	}
+	return int(f)
+}
+
+func (bk buckets) count(x float64) { bk.at[bk.of(x)+1]++ }
+
+// keys turns the counts into bucket starts and returns sc's key buffer,
+// sized for the counted keys.
+func (bk buckets) keys(sc *foldScratch) []xKey {
+	for b := 1; b < len(bk.at); b++ {
+		bk.at[b] += bk.at[b-1]
+	}
+	n := int(bk.at[len(bk.at)-1])
+	sc.keys = slices.Grow(sc.keys[:0], n)[:n]
+	return sc.keys
+}
+
+func (bk buckets) place(keys []xKey, k xKey) {
+	b := bk.of(k.x)
+	keys[bk.at[b]] = k
+	bk.at[b]++
+}
+
+// sort sorts each bucket of the placed keys by cmpKey: by insertion when it
+// is small, and by slices.SortFunc above bucketSortMax.
+func (bk buckets) sort(keys []xKey) {
+	lo := int32(0)
+	for _, hi := range bk.at[:len(bk.at)-1] {
+		s := keys[lo:hi]
+		lo = hi
+		if len(s) > bucketSortMax {
+			slices.SortFunc(s, cmpKey)
+			continue
+		}
+		for i := 1; i < len(s); i++ {
+			k := s[i]
+			j := i
+			for ; j > 0 && cmpKey(k, s[j-1]) < 0; j-- {
+				s[j] = s[j-1]
+			}
+			s[j] = k
+		}
+	}
+}
+
+// sortClouds sorts every counter cloud and the stack timeline of f stably by
+// X. Most clouds of a cluster share one pre-sort X sequence (every sample
+// projects into every captured counter and the stack timeline), and a stable
+// sort permutes equal X sequences identically. So the longest cloud's keys
+// are sorted once, and the resulting permutation is applied in place to
+// every cloud whose X sequence equals it position by position. A cloud with
+// a different sequence — a multiplexed counter, or one skipped in some
+// bursts — is sorted on its own, by the same primitive.
+//
+// A cloud holding one point per projected sample (sc.size.rows, zero when
+// unknown) has the projection's X sequence, so when the longest cloud is
+// one, every cloud of its length shares its sequence without comparing.
 func sortClouds(f *Folded, sc *foldScratch) {
 	ref := 0
 	for id := range f.Points {
@@ -334,29 +417,52 @@ func sortClouds(f *Folded, sc *foldScratch) {
 		}
 	}
 	refPts := f.Points[ref]
+	allRows := len(refPts) == int(sc.size.rows)
 	var shared [counters.NumIDs][]Point
 	n := 0
 	for _, pts := range f.Points {
-		if sameX(pts, refPts) {
+		if len(pts) == len(refPts) && (allRows || sameX(pts, refPts)) {
 			shared[n] = pts
 			n++
 		} else {
-			slices.SortFunc(pts, cmpPointX)
+			permute(sc.pointKeys(pts), [][]Point{pts}, nil)
 		}
 	}
 	var stacks []StackSample
-	if sameStackX(f.Stacks, refPts) {
+	if len(f.Stacks) == len(refPts) && (allRows || sameStackX(f.Stacks, refPts)) {
 		stacks = f.Stacks
 	} else {
-		slices.SortFunc(f.Stacks, cmpStackX)
+		permute(sc.stackKeys(f.Stacks), nil, f.Stacks)
 	}
-	keys := sc.keys[:0]
-	for i, p := range refPts {
-		keys = append(keys, xKey{x: p.X, i: i})
+	permute(sc.pointKeys(refPts), shared[:n], stacks)
+}
+
+// pointKeys returns pts' keys, sorted by cmpKey, in sc's key buffer.
+func (sc *foldScratch) pointKeys(pts []Point) []xKey {
+	bk := sc.buckets(len(pts))
+	for _, p := range pts {
+		bk.count(p.X)
 	}
-	sc.keys = keys
-	slices.SortFunc(keys, cmpKeyX)
-	permute(keys, shared[:n], stacks)
+	keys := bk.keys(sc)
+	for i, p := range pts {
+		bk.place(keys, xKey{x: p.X, i: i})
+	}
+	bk.sort(keys)
+	return keys
+}
+
+// stackKeys is pointKeys for a stack timeline.
+func (sc *foldScratch) stackKeys(stacks []StackSample) []xKey {
+	bk := sc.buckets(len(stacks))
+	for _, s := range stacks {
+		bk.count(s.X)
+	}
+	keys := bk.keys(sc)
+	for i, s := range stacks {
+		bk.place(keys, xKey{x: s.X, i: i})
+	}
+	bk.sort(keys)
+	return keys
 }
 
 // permute rearranges clouds (and stacks, when non-nil) in place so that

@@ -12,17 +12,18 @@ import (
 	"phasefold/internal/trace"
 )
 
-// The oracle is a test-only copy of the fold's previous tail: one sort.Slice
-// per counter cloud and one for the stack timeline, and the per-counter
-// burst clouds the streaming path used to grow. The shared-permutation sort
-// and the sample-major clouds must reproduce it exactly.
+// The oracle is the fold's specification written plainly: one stable sort
+// by X (sort.SliceStable) per counter cloud and one for the stack timeline,
+// and the per-counter burst clouds the streaming path used to grow. The
+// shared-permutation bucket sort and the sample-major clouds must reproduce
+// it exactly, ties included.
 
 func oracleSort(f *Folded) {
 	for id := range f.Points {
 		pts := f.Points[id]
-		sort.Slice(pts, func(i, j int) bool { return pts[i].X < pts[j].X })
+		sort.SliceStable(pts, func(i, j int) bool { return pts[i].X < pts[j].X })
 	}
-	sort.Slice(f.Stacks, func(i, j int) bool { return f.Stacks[i].X < f.Stacks[j].X })
+	sort.SliceStable(f.Stacks, func(i, j int) bool { return f.Stacks[i].X < f.Stacks[j].X })
 }
 
 type oracleCloud struct {
@@ -87,11 +88,11 @@ func checkSortMatchesOracle(t *testing.T, f *Folded) {
 	sortClouds(got, new(foldScratch))
 	for id := range want.Points {
 		if !slices.Equal(got.Points[id], want.Points[id]) {
-			t.Fatalf("counter %d (%d points): sorted cloud differs from sort.Slice", id, len(want.Points[id]))
+			t.Fatalf("counter %d (%d points): sorted cloud differs from sort.SliceStable", id, len(want.Points[id]))
 		}
 	}
 	if !slices.Equal(got.Stacks, want.Stacks) {
-		t.Fatalf("stack timeline (%d samples) differs from sort.Slice", len(want.Stacks))
+		t.Fatalf("stack timeline (%d samples) differs from sort.SliceStable", len(want.Stacks))
 	}
 }
 
@@ -238,7 +239,7 @@ func genBursts(r *rand.Rand) ([]trace.Burst, [][]trace.Sample) {
 // TestCloudFoldMatchesOracle builds streamed burst clouds both ways from
 // generated bursts, then folds each label through FoldWith over the new
 // clouds and through the oracle (old clouds replayed in member order, then
-// sort.Slice), and requires identical folded clouds.
+// sort.SliceStable), and requires identical folded clouds.
 func TestCloudFoldMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(1806))
 	for trial := 0; trial < 600; trial++ {
@@ -313,9 +314,9 @@ func cloudsFromBytes(data []byte, sub uint16, stackLen uint8) *Folded {
 	return f
 }
 
-// FuzzSortCloud guards the identity the shared sort rests on: on this
-// toolchain, slices.SortFunc by X permutes exactly as sort.Slice by X does,
-// ties included.
+// FuzzSortCloud checks the fold's sort against its specification, a stable
+// sort by X, ties included: the bucket distribution, the per-bucket sorts
+// and the permutation shared between clouds.
 func FuzzSortCloud(f *testing.F) {
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint16(0), uint8(255))
 	f.Add([]byte{3, 3, 3, 1, 1, 2, 2, 2, 0, 0, 3, 1}, uint16(0x0f0), uint8(7))

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"phasefold/internal/obs"
 )
@@ -57,69 +59,86 @@ func (a *lsqAccum) sse(i, j int) float64 {
 	return sse
 }
 
+// dpScratch is segmentDP's working set: one column of segment costs and
+// the DP's cost and back-pointer rows. Fits run concurrently, one per
+// cluster, so it is pooled.
+type dpScratch struct {
+	sse  []float64
+	cost []float64
+	from []int
+}
+
+var dpPool = sync.Pool{New: func() any { return new(dpScratch) }}
+
 // segmentDP computes, for every model order k in [1, kmax], the optimal cuts
 // (segment start indices) minimizing total SSE, via the classical Bellman
-// segmented-least-squares recurrence. Returns per-k cuts and SSE. The DP
-// rows poll ctx: each (k, j) cell costs O(n), so polling every 64 cells
-// bounds the work between cancellation checks.
+// segmented-least-squares recurrence. Returns per-k cuts and SSE.
+//
+// Every order reads the same segment costs, so the DP runs column by
+// column: it evaluates sse(i, j) once for every i <= j, then advances every
+// order at j, which needs only columns before j of the order below. Each
+// cell compares the same values in the same order as evaluating sse inside
+// the recurrence, so every cut and SSE is the same. The columns poll ctx:
+// each costs O(kmax·n).
 func segmentDP(ctx context.Context, bins []bin, kmax int) (cutsPerK [][]int, ssePerK []float64, err error) {
 	n := len(bins)
 	if kmax > n {
 		kmax = n
 	}
 	acc := newLSQAccum(bins)
-	// cost[k][j]: best SSE covering bins [0..j] with k+1 segments.
-	cost := make([][]float64, kmax)
-	from := make([][]int, kmax)
-	for k := range cost {
-		cost[k] = make([]float64, n)
-		from[k] = make([]int, n)
-	}
-	cells := int64(n)
+	sc := dpPool.Get().(*dpScratch)
+	defer dpPool.Put(sc)
+	// sse[i] is sse(i, j) for the current column j; cost[k*n+j] is the best
+	// SSE covering bins [0..j] with k+1 segments, and from[k*n+j] the first
+	// bin of its last segment.
+	sc.sse = slices.Grow(sc.sse[:0], n)[:n]
+	sc.cost = slices.Grow(sc.cost[:0], kmax*n)[:kmax*n]
+	sc.from = slices.Grow(sc.from[:0], kmax*n)[:kmax*n]
+	sse, cost, from := sc.sse, sc.cost, sc.from
 	for j := 0; j < n; j++ {
-		cost[0][j] = acc.sse(0, j)
-	}
-	for k := 1; k < kmax; k++ {
-		for j := 0; j < n; j++ {
-			if j%64 == 0 {
-				if cerr := ctx.Err(); cerr != nil {
-					return nil, nil, cerr
-				}
-			}
-			cells++
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, nil, cerr
+		}
+		last := j
+		if kmax == 1 {
+			last = 0 // one segment reads only sse(0, j)
+		}
+		for i := 0; i <= last; i++ {
+			sse[i] = acc.sse(i, j)
+		}
+		cost[j] = sse[0]
+		for k := 1; k < kmax; k++ {
+			prev := cost[(k-1)*n:]
 			best := math.Inf(1)
 			bestI := 0
 			// Last segment is [i..j]; previous k segments cover [0..i-1].
 			for i := k; i <= j; i++ {
-				c := cost[k-1][i-1] + acc.sse(i, j)
+				c := prev[i-1] + sse[i]
 				if c < best {
 					best = c
 					bestI = i
 				}
 			}
-			cost[k][j] = best
-			from[k][j] = bestI
+			cost[k*n+j] = best
+			from[k*n+j] = bestI
 		}
 	}
 	// Report the DP volume to whatever telemetry the caller attached: the
 	// cell count lands on the enclosing span and the run-wide counter.
+	cells := int64(kmax) * int64(n)
 	obs.SpanFromContext(ctx).AddInt("dp_cells", cells)
 	obs.Metrics(ctx).Counter(obs.MetricDPCells,
 		"Segmented-least-squares DP cells evaluated.").Add(cells)
 	cutsPerK = make([][]int, kmax)
 	ssePerK = make([]float64, kmax)
 	for k := 0; k < kmax; k++ {
-		ssePerK[k] = cost[k][n-1]
-		cuts := make([]int, 0, k)
+		ssePerK[k] = cost[k*n+n-1]
+		cuts := make([]int, k)
 		j := n - 1
 		for kk := k; kk >= 1; kk-- {
-			i := from[kk][j]
-			cuts = append(cuts, i)
+			i := from[kk*n+j]
+			cuts[kk-1] = i
 			j = i - 1
-		}
-		// cuts collected right-to-left; reverse.
-		for a, b := 0, len(cuts)-1; a < b; a, b = a+1, b-1 {
-			cuts[a], cuts[b] = cuts[b], cuts[a]
 		}
 		cutsPerK[k] = cuts
 	}

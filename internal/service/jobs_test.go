@@ -239,11 +239,23 @@ func TestSlowJobMarkingAndProfileCapture(t *testing.T) {
 	}
 
 	// The watchdog path: a still-running trace crosses the threshold and a
-	// CPU profile is captured until the job finishes.
+	// CPU profile is captured until the job finishes. The upload's own
+	// watchdog fired after 1ns, so its callback may still hold the capture
+	// gate (starting or stopping a profile for a job that has already
+	// answered): wait for the gate, and try again if that callback takes it
+	// between the wait and the call.
 	jt := newJobTrace("wedged-1", "t", time.Now())
 	s.jobs.add(jt)
-	s.jobOverThreshold(jt)
 	prof := filepath.Join(profDir, "slowjob-wedged-1.pprof")
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		for profileActive.Load() && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		s.jobOverThreshold(jt)
+		if _, err := os.Stat(prof); err == nil || time.Now().After(deadline) {
+			break
+		}
+	}
 	if _, err := os.Stat(prof); err != nil {
 		t.Fatalf("slow-job profile not started: %v", err)
 	}
