@@ -13,9 +13,8 @@ import (
 )
 
 // TestErrorSentinelTaxonomy pins the errors.Is relationships of the public
-// sentinel set: the format sentinels all match the ErrFormat umbrella, the
-// umbrellas stay disjoint from one another, and ErrMergeMismatch (a usage
-// error) deliberately stays outside ErrFormat.
+// sentinel set: the format sentinels all match the ErrFormat umbrella,
+// and the umbrellas stay disjoint from one another.
 func TestErrorSentinelTaxonomy(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -28,7 +27,6 @@ func TestErrorSentinelTaxonomy(t *testing.T) {
 		{"corrupt is format", phasefold.ErrCorrupt, phasefold.ErrFormat, true},
 		{"no ranks is format", phasefold.ErrNoRanks, phasefold.ErrFormat, true},
 		{"invalid is format", phasefold.ErrInvalid, phasefold.ErrFormat, true},
-		{"merge mismatch is not format", phasefold.ErrMergeMismatch, phasefold.ErrFormat, false},
 		{"budget is not format", phasefold.ErrBudget, phasefold.ErrFormat, false},
 		{"panic is not format", phasefold.ErrPanic, phasefold.ErrFormat, false},
 		{"canceled is not format", phasefold.ErrCanceled, phasefold.ErrFormat, false},

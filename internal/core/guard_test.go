@@ -3,12 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"phasefold/internal/simapp"
-	"phasefold/internal/trace"
 )
 
 func hasDiag(m *Model, substr string) bool {
@@ -273,16 +273,7 @@ func TestPrepareStopsOnCancel(t *testing.T) {
 	if err := in.FeedTrace(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := in.settle(context.Background(), newDiagSink(context.Background())); err != nil || in.resident != tr {
-		t.Fatalf("front half of a valid trace projects from %p, %v; want the trace itself", in.resident, err)
-	}
-}
-
-func TestMergeContextCancels(t *testing.T) {
-	tr := acquireTrace(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := trace.MergeContext(ctx, "app", tr); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled merge returned %v, want context.Canceled", err)
+	if _, err := in.settle(context.Background(), newDiagSink(context.Background())); err != nil || !slices.Equal(in.resident.Ranks, tr.Ranks) {
+		t.Fatalf("front half of a valid trace projects from %v, %v; want the trace's own ranks %v", in.resident.Ranks, err, tr.Ranks)
 	}
 }

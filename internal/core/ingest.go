@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
+	"slices"
 
 	"phasefold/internal/callstack"
 	"phasefold/internal/folding"
@@ -20,8 +20,8 @@ import (
 //
 // An Ingest takes exactly one input. FeedTrace ingests a resident trace
 // (batch Analyze is FeedTrace + Done): ranks fan out under the extract
-// stage guard, a trace that fails validation is repaired (lenient mode)
-// before the tail, and folds project straight out of the records. Feed
+// stage guard, a rank that fails validation is repaired alone on its
+// worker (lenient mode), and folds project straight out of the records. Feed
 // ingests record chunks as they arrive (the streaming session): each
 // burst's folded observations are built as its samples link, since the
 // records do not stay. The model is the same either way.
@@ -36,11 +36,10 @@ type Ingest struct {
 	ranks  []rankIngest
 	health []healthRank
 
-	source   *trace.Trace // FeedTrace's input
-	resident *trace.Trace // the records folds project from: source or its repair
-	damaged  atomic.Bool  // a rank of source failed validation: it will be repaired
-	timedOut bool         // the extract stage guard expired during a resident pass
-	chunked  bool         // Feed was called
+	resident *trace.Trace      // FeedTrace's input as a view whose repaired slots are clones
+	repairs  [][]trace.Problem // per rank: the problems its resident repair fixed
+	timedOut bool              // the extract stage guard expired during the resident pass
+	chunked  bool              // Feed was called
 	failed   error
 	label    func(*trace.Burst)
 
@@ -92,17 +91,17 @@ func (in *Ingest) resetRank(r int, extract bool) {
 // completion order — the streaming session's provisional labelling.
 func (in *Ingest) SetLabeler(label func(*trace.Burst)) { in.label = label }
 
-// Feed ingests one chunk of a rank's records, in stream order per rank;
-// chunks of different ranks may interleave. The ingest keeps the chunk's
-// events until the rank's samples pass them, so the caller must not modify
-// them afterwards. A rank with an invalid record is dropped, and a rank
-// whose extraction fails contributes no bursts; in strict mode either
-// fails the ingest.
+// Feed ingests one chunk of a rank's records, in per-rank order (see
+// trace.RankValidator); chunks of different ranks may interleave. The
+// ingest keeps the chunk's events until the rank's samples pass them, so
+// the caller must not modify them afterwards. A rank with an invalid
+// record is dropped, and a rank whose extraction fails contributes no
+// bursts; in strict mode either fails the ingest.
 func (in *Ingest) Feed(c *trace.Chunk) error {
 	switch {
 	case in.failed != nil:
 		return in.failed
-	case in.source != nil:
+	case in.resident != nil:
 		return fmt.Errorf("core: Feed after FeedTrace")
 	case c.Rank < 0 || c.Rank >= len(in.ranks):
 		return fmt.Errorf("%w: chunk for rank %d of %d", trace.ErrInvalid, c.Rank, len(in.ranks))
@@ -195,9 +194,6 @@ func (in *Ingest) drain(ri *rankIngest) {
 // drop voids a rank that failed validation: its records leave every
 // accumulator, as if the rank had carried none.
 func (in *Ingest) drop(ri *rankIngest, err error) {
-	if !in.opt.Strict && in.resident != nil && in.resident == in.source {
-		in.damaged.Store(true) // the pass will be redone on a repaired copy
-	}
 	ri.dropErr = err
 	ri.events, ri.samples = 0, 0
 	*ri.h = newHealthRank()
@@ -262,26 +258,21 @@ func (in *Ingest) closeRank(ri *rankIngest) {
 const residentBlock = 1024
 
 // FeedTrace ingests a resident trace, fanning ranks out over
-// opt.Parallelism workers under the extract stage guard. The trace is never
-// modified: if it fails validation, Done repairs a copy (lenient mode) or
-// fails (strict mode).
+// opt.Parallelism workers under the extract stage guard. Rank 0 is always
+// extracted; a later rank the expired stage guard stops is still validated
+// and health-checked but not extracted, and Done keeps the extracted
+// prefix. In lenient mode a rank that fails validation is repaired on its
+// worker; strict mode fails in Done. The trace is never modified.
 func (in *Ingest) FeedTrace(ctx context.Context, tr *trace.Trace) error {
-	if in.chunked || in.source != nil {
+	if in.chunked || in.resident != nil {
 		return fmt.Errorf("core: FeedTrace on an ingest already fed")
 	}
 	if tr.NumRanks() != len(in.ranks) {
 		return fmt.Errorf("core: trace has %d ranks, ingest expects %d (%w)", tr.NumRanks(), len(in.ranks), trace.ErrInvalid)
 	}
-	in.source = tr
-	return in.ingestResident(ctx, tr)
-}
-
-// ingestResident runs one pass of the front half over tr's ranks, each
-// into its own slot. Rank 0 is always extracted; a later rank the expired
-// stage guard stops is still validated and health-checked but not
-// extracted, and Done keeps the extracted prefix.
-func (in *Ingest) ingestResident(ctx context.Context, tr *trace.Trace) error {
-	in.resident = tr
+	view := *tr
+	view.Ranks = slices.Clone(tr.Ranks)
+	in.resident, in.repairs = &view, make([][]trace.Problem, len(in.ranks))
 	ectx, espan, endExtract := startStage(ctx, spanExtract)
 	defer endExtract()
 	sctx, cancel := stageContext(ectx, in.opt.Budget)
@@ -293,7 +284,7 @@ func (in *Ingest) ingestResident(ctx context.Context, tr *trace.Trace) error {
 		if r == 0 {
 			stopped = nil
 		}
-		in.ingestResidentRank(ctx, tr, r, stopped == nil)
+		in.ingestResidentRank(ctx, r, stopped == nil)
 		in.ranks[r].stopped = stopped
 		wspans[worker].AddInt("ranks", 1)
 		wspans[worker].AddInt("bursts", int64(len(in.bursts(r))))
@@ -315,33 +306,23 @@ func (in *Ingest) ingestResident(ctx context.Context, tr *trace.Trace) error {
 	return nil
 }
 
-// ingestResidentRank runs rank r of tr through the front half, polling ctx
-// between blocks of records; it stops early once a rank of a trace that
-// will be repaired failed validation. A panic drops the rank's extraction
-// only.
-func (in *Ingest) ingestResidentRank(ctx context.Context, tr *trace.Trace, r int, extract bool) {
+// ingestResidentRank runs rank r of the resident trace through the front
+// half. In lenient mode a rank that fails validation is repaired here: its
+// slot in the view is replaced by a sanitized clone, which is ingested in
+// its place, and the rank stays dropped only if the clone fails too. A
+// panic drops the rank's extraction only.
+func (in *Ingest) ingestResidentRank(ctx context.Context, r int, extract bool) {
+	repaired := false
 	run := func(extract bool) {
-		in.resetRank(r, extract)
-		ri := &in.ranks[r]
-		rd, err := tr.RankSlot(r)
-		if err != nil {
-			in.drop(ri, err)
-			ri.closed = true
+		if !in.feedResidentRank(ctx, r, extract) || in.ranks[r].dropErr == nil || in.opt.Strict || repaired {
 			return
 		}
-		for lo := 0; lo < len(rd.Events); lo += residentBlock {
-			if ctx.Err() != nil || in.damaged.Load() {
-				return
-			}
-			in.feedRank(ri, rd.Events[lo:min(lo+residentBlock, len(rd.Events))], nil)
+		repaired = true
+		if rd := in.resident.Ranks[r]; rd != nil {
+			in.resident.Ranks[r] = &trace.RankData{Rank: rd.Rank, Events: slices.Clone(rd.Events), Samples: slices.Clone(rd.Samples)}
 		}
-		for lo := 0; lo < len(rd.Samples); lo += residentBlock {
-			if ctx.Err() != nil || in.damaged.Load() {
-				return
-			}
-			in.feedRank(ri, nil, rd.Samples[lo:min(lo+residentBlock, len(rd.Samples))])
-		}
-		in.closeRank(ri)
+		in.repairs[r] = in.resident.SanitizeRank(r)
+		in.feedResidentRank(ctx, r, extract)
 	}
 	if !extract {
 		run(false)
@@ -357,6 +338,34 @@ func (in *Ingest) ingestResidentRank(ctx context.Context, tr *trace.Trace, r int
 		run(false)
 		in.ranks[r].extractErr = err
 	}
+}
+
+// feedResidentRank runs rank r's slot of the resident view through the
+// front half from fresh state, polling ctx between blocks of records; it
+// reports whether the rank ran to its end.
+func (in *Ingest) feedResidentRank(ctx context.Context, r int, extract bool) bool {
+	in.resetRank(r, extract)
+	ri := &in.ranks[r]
+	rd, err := in.resident.RankSlot(r)
+	if err != nil {
+		in.drop(ri, err)
+		ri.closed = true
+		return true
+	}
+	for lo := 0; lo < len(rd.Events); lo += residentBlock {
+		if ctx.Err() != nil {
+			return false
+		}
+		in.feedRank(ri, rd.Events[lo:min(lo+residentBlock, len(rd.Events))], nil)
+	}
+	for lo := 0; lo < len(rd.Samples); lo += residentBlock {
+		if ctx.Err() != nil {
+			return false
+		}
+		in.feedRank(ri, nil, rd.Samples[lo:min(lo+residentBlock, len(rd.Samples))])
+	}
+	in.closeRank(ri)
+	return true
 }
 
 // Done settles the ingest and runs the pipeline tail — structure
@@ -384,30 +393,26 @@ func (in *Ingest) model(ctx context.Context) (*Model, error) {
 	return analyzeTail(ctx, tin, in.opt, ds)
 }
 
-// settle is the prepare stage. It closes every rank, repairs a resident
-// trace that failed validation (lenient mode), applies the static budget,
-// and records the front half's diagnostics in stage order — sanitize,
-// validate, health, budget, extract — before handing the kept ranks'
-// bursts to the tail.
+// settle is the prepare stage. It closes every rank, applies the static
+// budget, and records the front half's diagnostics in stage order —
+// sanitize, validate, health, budget, extract — before handing the kept
+// ranks' bursts to the tail.
 func (in *Ingest) settle(ctx context.Context, ds *diagSink) (tailInput, error) {
-	pctx, pspan, endPrepare := startStage(ctx, spanPrepare)
+	_, pspan, endPrepare := startStage(ctx, spanPrepare)
 	defer endPrepare()
 	strict := in.opt.Strict
 	for r := range in.ranks {
 		in.closeRank(&in.ranks[r])
-	}
-	for r := range in.ranks {
-		err := in.ranks[r].dropErr
-		if err != nil && strict {
+		if err := in.ranks[r].dropErr; err != nil && strict {
 			return tailInput{}, fmt.Errorf("core: validating trace: %w", err)
-		}
-		if err != nil && in.resident != nil && in.resident == in.source {
-			if err := in.repair(pctx, ds); err != nil {
-				return tailInput{}, err
-			}
 		}
 	}
 	if !strict {
+		for _, probs := range in.repairs {
+			for _, p := range probs {
+				ds.add("sanitize", KindRepair, SeverityWarn, p.Rank, -1, "%s: %d records (%s)", p.Kind, p.Count, p.Detail)
+			}
+		}
 		for r := range in.ranks {
 			if err := in.ranks[r].dropErr; err != nil {
 				ds.add("validate", KindRankDropped, SeverityError, r, -1, "rank unrepairable, dropped: %v", err)
@@ -450,19 +455,6 @@ scan:
 	pspan.SetAttr("ranks", int64(keep))
 	pspan.SetAttr("records", records)
 	return tailInput{app: in.app, nRanks: keep, syms: in.syms, stacks: in.stacks, bursts: bursts, project: in.Projector()}, nil
-}
-
-// repair is the resident-trace repair preamble: the trace is cloned and
-// sanitized, and every rank is ingested again from the repaired copy; ranks
-// still invalid after repair are dropped. The caller's trace is never
-// modified.
-func (in *Ingest) repair(ctx context.Context, ds *diagSink) error {
-	work := in.source.Clone()
-	for _, p := range work.Sanitize() {
-		ds.add("sanitize", KindRepair, SeverityWarn, p.Rank, -1, "%s: %d records (%s)", p.Kind, p.Count, p.Detail)
-	}
-	in.damaged.Store(false)
-	return in.ingestResident(ctx, work)
 }
 
 // budget applies the static budget limits to the ranks' record counts.

@@ -12,12 +12,15 @@
 // A Session keeps a bounded window of samples (the ones that may still
 // attach to a burst that has not closed yet) and a rank's events until its
 // samples pass them: the merged-timeline counter check compares each
-// sample with the events around it. In container order (a rank's events,
-// then its samples) that is up to one rank's event section at a time —
-// O(events per rank), which the window does not count — plus each rank's
-// events after its last sample, held until Done. What grows with the
-// trace is the burst list and the folded clouds — the analysis output
-// itself.
+// sample with the events around it. Records come in per-rank order: each
+// stream in time order, and every event before the rank's samples at or
+// after its time. An event that arrives at or before a sample of its rank
+// already fed is rejected as out of order. In container order (a rank's
+// events, then its samples) the held events are up to one rank's event
+// section at a time — O(events per rank), which the window does not count
+// — plus each rank's events after its last sample, held until Done. What
+// grows with the trace is the burst list and the folded clouds — the
+// analysis output itself.
 package stream
 
 import (
@@ -137,14 +140,15 @@ func (s *Session) assign(b *trace.Burst) {
 	}
 }
 
-// Feed ingests one chunk. Records of a rank must arrive in stream order;
-// chunks of different ranks may interleave arbitrarily. In strict mode an
-// invalid record fails the session; in lenient mode the offending rank is
-// dropped exactly as batch analysis drops an unrepairable rank, and the
-// session continues. The session takes ownership of the chunk: it keeps
-// the events until the rank's samples pass them (see the package doc), so
-// the caller must not modify them afterwards. ChunkReader's chunks are
-// fresh, and can be fed as they come.
+// Feed ingests one chunk. Records of a rank must arrive in per-rank order
+// (see the package doc): an event at or before a sample of its rank already
+// fed is invalid, out of order. Chunks of different ranks may interleave
+// arbitrarily. In strict mode an invalid record fails the session; in
+// lenient mode the offending rank is dropped exactly as batch analysis
+// drops an unrepairable rank, and the session continues. The session takes
+// ownership of the chunk: it keeps the events until the rank's samples pass
+// them (see the package doc), so the caller must not modify them
+// afterwards. ChunkReader's chunks are fresh, and can be fed as they come.
 func (s *Session) Feed(c trace.Chunk) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -219,8 +223,9 @@ func (s *Session) Consume(cr *trace.ChunkReader, chunkLimit int) error {
 
 // FeedTrace streams a resident trace through the session: the batch front
 // half over the session's ingest, so FeedTrace + Done gives the model batch
-// core.Analyze gives on any trace, repairs of a damaged one included. It
-// must be the session's only input.
+// core.Analyze gives on any trace, including the per-rank repair of each
+// rank that fails validation. The trace is never modified. It must be the
+// session's only input.
 func (s *Session) FeedTrace(tr *trace.Trace) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

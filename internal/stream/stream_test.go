@@ -253,6 +253,61 @@ func TestStreamDropsMergedTimelineRegression(t *testing.T) {
 	}
 }
 
+// TestStreamRejectsLateEvent: Feed takes a rank's records in per-rank
+// order, every event before the rank's samples of the same or a later time.
+// A late event whose counter sits above the rank's last sample breaks
+// monotonicity only on the merged timeline; it is rejected as out of order,
+// failing a strict session and dropping the rank in a lenient one.
+func TestStreamRejectsLateEvent(t *testing.T) {
+	tr := genTrace(t, "multiphase", 100, 11)
+	rd := tr.Ranks[1]
+	last := rd.Events[len(rd.Events)-1]
+	v, ok := last.Counters.Get(counters.Instructions)
+	if !ok {
+		t.Fatal("rank 1's last event captured no instructions")
+	}
+	// A sample after every event, then an event between the two.
+	tail := trace.Sample{Time: last.Time + 10, Rank: 1, Stack: callstack.NoStack, Counters: last.Counters}
+	late := trace.Event{Time: last.Time + 5, Rank: 1, Type: trace.IterEnd, Counters: last.Counters}
+	late.Counters.Put(counters.Instructions, v+1)
+	for _, strict := range []bool{false, true} {
+		opt := core.DefaultOptions()
+		opt.Strict = strict
+		s := sessionFor(t, context.Background(), tr, Options{Core: opt})
+		for r, rd := range tr.Ranks {
+			c := trace.Chunk{Rank: r, Events: rd.Events, Samples: rd.Samples}
+			if r == 1 {
+				c.Samples = append(rd.Samples[:len(rd.Samples):len(rd.Samples)], tail)
+			}
+			if err := s.Feed(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		err := s.Feed(trace.Chunk{Rank: 1, Events: []trace.Event{late}})
+		if strict {
+			if !errors.Is(err, trace.ErrInvalid) || !strings.Contains(err.Error(), "out of order") {
+				t.Fatalf("strict: late event fed as %v, want an out-of-order ErrInvalid", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := s.Done()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hasDiagnostic(m, "validate", "out of order") {
+			t.Fatalf("lenient: late event passed: %v", m.Diagnostics)
+		}
+		for _, b := range m.Bursts {
+			if b.Rank == 1 {
+				t.Fatal("lenient: the dropped rank's bursts reached the model")
+			}
+		}
+	}
+}
+
 // hasDiagnostic reports whether m carries a diagnostic of stage whose
 // message contains substr.
 func hasDiagnostic(m *core.Model, stage, substr string) bool {

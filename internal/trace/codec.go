@@ -584,7 +584,7 @@ func Decode(ctx context.Context, rd io.Reader, opt DecodeOptions) (*Trace, *Salv
 			return
 		}
 		if opt.Salvage {
-			repairs[rank] = t.sanitizeRank(rank)
+			repairs[rank] = t.SanitizeRank(rank)
 		}
 		invalid[rank] = t.ValidateRank(rank)
 	})

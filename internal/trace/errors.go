@@ -6,8 +6,8 @@ import (
 	"io"
 )
 
-// Structured error taxonomy of the trace container. Decode, DecodeText,
-// Merge, and Validate wrap these sentinels so callers can dispatch with
+// Structured error taxonomy of the trace container. Decode, DecodeText
+// and Validate wrap these sentinels so callers can dispatch with
 // errors.Is instead of string matching — the CLIs map them to exit codes,
 // and the degraded-mode analyzer decides per sentinel whether a rank is
 // recoverable.
@@ -41,11 +41,6 @@ var (
 	// ErrInvalid marks a structurally decodable trace that violates the
 	// container invariants (record order, nesting, references).
 	ErrInvalid error = &formatError{"trace: invalid structure"}
-	// ErrMergeMismatch marks merge inputs that cannot be combined
-	// (different symbol tables, colliding ranks, nothing to merge). It is
-	// a usage error, not an input-format one, so it does not match
-	// ErrFormat.
-	ErrMergeMismatch = errors.New("trace: merge mismatch")
 )
 
 // classifyRead maps a low-level read error onto the taxonomy: EOF variants

@@ -15,46 +15,6 @@ import (
 // less-traveled Validate branches (comm nesting, dangling stacks, counter
 // monotonicity) must actually fire.
 
-func TestMergeErrorsWrapSentinel(t *testing.T) {
-	syms := callstack.NewSymbolTable()
-	stacks := callstack.NewInterner()
-	mk := func(rank int32) *Trace {
-		tr := New("p", int(rank)+1, syms, stacks)
-		tr.Ranks[rank].Events = append(tr.Ranks[rank].Events,
-			Event{Time: 1, Rank: rank, Type: IterBegin, Counters: counters.AllMissing()})
-		return tr
-	}
-	empty := New("e", 1, syms, stacks)
-	negRank := New("n", 1, syms, stacks)
-	negRank.Ranks[0].Rank = -3
-	negRank.Ranks[0].Events = append(negRank.Ranks[0].Events,
-		Event{Time: 1, Rank: -3, Type: IterBegin, Counters: counters.AllMissing()})
-	foreign := New("f", 1, nil, nil)
-	foreign.AddEvent(Event{Time: 1, Type: IterBegin, Counters: counters.AllMissing()})
-
-	cases := []struct {
-		name  string
-		parts []*Trace
-	}{
-		{"no parts", nil},
-		{"nil part", []*Trace{mk(0), nil}},
-		{"all empty", []*Trace{empty}},
-		{"negative rank", []*Trace{negRank}},
-		{"foreign tables", []*Trace{mk(0), foreign}},
-		{"rank collision", []*Trace{mk(0), mk(0)}},
-	}
-	for _, tc := range cases {
-		_, err := Merge("w", tc.parts...)
-		if err == nil {
-			t.Errorf("%s: merge accepted", tc.name)
-			continue
-		}
-		if !errors.Is(err, ErrMergeMismatch) {
-			t.Errorf("%s: error %v does not wrap ErrMergeMismatch", tc.name, err)
-		}
-	}
-}
-
 func TestValidateErrorsWrapSentinel(t *testing.T) {
 	damage := []struct {
 		name string

@@ -1,8 +1,8 @@
 // Package trace defines the performance-data container the analysis pipeline
 // consumes: instrumentation events, periodic samples, and the computation
-// bursts derived from them, together with binary and text codecs and
-// multi-rank merging. It plays the role the Paraver trace plays in the BSC
-// tool ecosystem the paper builds on.
+// bursts derived from them, together with binary and text codecs and the
+// per-rank validation and repair passes. It plays the role the Paraver
+// trace plays in the BSC tool ecosystem the paper builds on.
 package trace
 
 import (

@@ -58,12 +58,16 @@ func (p Problem) String() string {
 func (t *Trace) Sanitize() []Problem {
 	var probs []Problem
 	for r := range t.Ranks {
-		probs = append(probs, t.sanitizeRank(r)...)
+		probs = append(probs, t.SanitizeRank(r)...)
 	}
 	return probs
 }
 
-func (t *Trace) sanitizeRank(r int) []Problem {
+// SanitizeRank is Sanitize for rank slot r alone: it repairs that slot in
+// place, reading nothing of the other ranks, and returns its problems. It
+// is the one per-rank repair pass behind Sanitize, salvage decoding and
+// the analysis ingest.
+func (t *Trace) SanitizeRank(r int) []Problem {
 	var probs []Problem
 	add := func(kind string, count int, format string, args ...any) {
 		if count > 0 {

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -134,7 +133,7 @@ func (t *Trace) EndTime() sim.Time {
 
 // SortRecords re-establishes time order within every rank's streams. Trace
 // producers in this repository emit in order already; SortRecords exists for
-// traces assembled from merged or decoded sources.
+// decoded sources.
 func (t *Trace) SortRecords() {
 	for _, rd := range t.Ranks {
 		sort.SliceStable(rd.Events, func(i, j int) bool { return rd.Events[i].Time < rd.Events[j].Time })
@@ -205,66 +204,4 @@ func (t *Trace) Clone() *Trace {
 		out.Ranks[i] = c
 	}
 	return out
-}
-
-// Merge combines several single-application traces (e.g. produced by
-// independent per-rank tracing backends) into one. All inputs must share the
-// same symbol table and stack interner; rank numbers must not collide.
-func Merge(app string, parts ...*Trace) (*Trace, error) {
-	return MergeContext(context.Background(), app, parts...)
-}
-
-// MergeContext is Merge under a cancellable context, polled once per merged
-// part so a deadline interrupts a fleet-sized merge between inputs.
-func MergeContext(ctx context.Context, app string, parts ...*Trace) (*Trace, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("%w: nothing to merge", ErrMergeMismatch)
-	}
-	for i, p := range parts {
-		if p == nil {
-			return nil, fmt.Errorf("%w: part %d is nil", ErrMergeMismatch, i)
-		}
-	}
-	syms, stacks := parts[0].Symbols, parts[0].Stacks
-	maxRank := -1
-	for _, p := range parts {
-		if p.Symbols != syms || p.Stacks != stacks {
-			return nil, fmt.Errorf("%w: parts do not share symbol tables", ErrMergeMismatch)
-		}
-		for _, rd := range p.Ranks {
-			if rd == nil || (len(rd.Events) == 0 && len(rd.Samples) == 0) {
-				continue
-			}
-			if rd.Rank < 0 {
-				return nil, fmt.Errorf("%w: negative rank %d", ErrMergeMismatch, rd.Rank)
-			}
-			if int(rd.Rank) > maxRank {
-				maxRank = int(rd.Rank)
-			}
-		}
-	}
-	if maxRank < 0 {
-		return nil, fmt.Errorf("%w: parts are all empty", ErrMergeMismatch)
-	}
-	out := New(app, maxRank+1, syms, stacks)
-	seen := make([]bool, maxRank+1)
-	for _, p := range parts {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		for _, rd := range p.Ranks {
-			if rd == nil || (len(rd.Events) == 0 && len(rd.Samples) == 0) {
-				continue
-			}
-			r := int(rd.Rank)
-			if seen[r] {
-				return nil, fmt.Errorf("%w: rank %d present twice", ErrMergeMismatch, r)
-			}
-			seen[r] = true
-			out.Ranks[r].Events = append(out.Ranks[r].Events, rd.Events...)
-			out.Ranks[r].Samples = append(out.Ranks[r].Samples, rd.Samples...)
-		}
-	}
-	out.SortRecords()
-	return out, nil
 }

@@ -121,60 +121,6 @@ func TestSortRecords(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	syms := callstack.NewSymbolTable()
-	stacks := callstack.NewInterner()
-	mk := func(rank int32) *Trace {
-		tr := New("part", 4, syms, stacks)
-		tr.Ranks[rank].Events = append(tr.Ranks[rank].Events,
-			Event{Time: 1, Rank: rank, Type: IterBegin, Counters: counters.AllMissing()},
-			Event{Time: 2, Rank: rank, Type: IterEnd, Counters: counters.AllMissing()})
-		return tr
-	}
-	merged, err := Merge("whole", mk(0), mk(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.NumRanks() != 3 { // maxRank 2 -> 3 slots
-		t.Fatalf("merged NumRanks = %d, want 3", merged.NumRanks())
-	}
-	if len(merged.Ranks[0].Events) != 2 || len(merged.Ranks[2].Events) != 2 {
-		t.Fatal("merged events misplaced")
-	}
-	if err := merged.Validate(); err != nil {
-		t.Fatalf("merged trace invalid: %v", err)
-	}
-}
-
-func TestMergeRejectsCollision(t *testing.T) {
-	syms := callstack.NewSymbolTable()
-	stacks := callstack.NewInterner()
-	mk := func() *Trace {
-		tr := New("p", 1, syms, stacks)
-		tr.AddEvent(Event{Time: 1, Type: IterBegin, Counters: counters.AllMissing()})
-		return tr
-	}
-	if _, err := Merge("w", mk(), mk()); err == nil {
-		t.Fatal("rank collision not rejected")
-	}
-}
-
-func TestMergeRejectsForeignTables(t *testing.T) {
-	a := New("a", 1, nil, nil)
-	a.AddEvent(Event{Time: 1, Type: IterBegin, Counters: counters.AllMissing()})
-	b := New("b", 1, nil, nil)
-	b.AddEvent(Event{Time: 1, Type: IterBegin, Counters: counters.AllMissing()})
-	if _, err := Merge("w", a, b); err == nil {
-		t.Fatal("merge across symbol tables not rejected")
-	}
-}
-
-func TestMergeEmpty(t *testing.T) {
-	if _, err := Merge("w"); err == nil {
-		t.Fatal("empty merge not rejected")
-	}
-}
-
 func TestEventTypeString(t *testing.T) {
 	if RegionEnter.String() != "region_enter" || CommExit.String() != "comm_exit" {
 		t.Fatal("event type names wrong")

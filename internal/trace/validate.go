@@ -16,17 +16,19 @@ import (
 // resident rank; the analysis ingest runs it on each stretch of records as
 // it arrives.
 //
+// Records must arrive in per-rank order: each stream in time order, and
+// every event before the samples at or after its time, as the container's
+// rank sections hold them (all events, then all samples). An event at or
+// before the last sample already checked is rejected as out of order, so
+// the merged check is exact on every order the validator accepts.
+//
 // Finish reports the first error in this order: the first bad event, else
 // unclosed nesting, else the first bad sample, else the first counter
-// regression in merged order. The merged check is exact when every
-// event arrives before the samples that follow it in time, as in the
-// container's rank sections: the validator keeps the events no sample has
-// passed yet, by reference, and nothing per sample. In container order
+// regression in merged order. The validator keeps the events no sample
+// has passed yet, by reference, and nothing per sample. In container order
 // that is up to the rank's whole event section, held until the rank's
 // samples pass it; the events after its last sample are held until
-// Finish, and a failed rank's queue is released at once. An event that
-// arrives after a later sample was already checked is compared against
-// the event stream only.
+// Finish, and a failed rank's queue is released at once.
 type RankValidator struct {
 	rank   int
 	stacks *callstack.Interner
@@ -48,7 +50,6 @@ type RankValidator struct {
 	rest    [][]Event
 	queued  int
 	last    counters.Set
-	prevEv  *Event
 	monoErr error
 }
 
@@ -76,30 +77,12 @@ func (v *RankValidator) Events(evs []Event) {
 	if len(evs) == 0 || v.smpErr != nil || v.monoErr != nil {
 		return
 	}
-	// Events at or before a sample already merged arrived late: each is
-	// checked against the event stream alone.
-	late := 0
-	if v.sampled && v.queued == 0 {
-		for late < len(evs) && evs[late].Time <= v.smpPrev {
-			if v.prevEv != nil {
-				prev := v.prevEv.Counters
-				if v.monoErr = v.advance(&prev, &evs[late].Counters, "event", base+late); v.monoErr != nil {
-					return
-				}
-			}
-			v.prevEv = &evs[late]
-			late++
-		}
+	if v.queued == 0 {
+		v.cur, v.head = evs, 0
+	} else {
+		v.rest = append(v.rest, evs)
 	}
-	if run := evs[late:]; len(run) > 0 {
-		if v.queued == 0 {
-			v.cur, v.head = run, 0
-		} else {
-			v.rest = append(v.rest, run)
-		}
-		v.queued += len(run)
-	}
-	v.prevEv = &evs[len(evs)-1]
+	v.queued += len(evs)
 }
 
 // checkEvent returns the structural error of event i, if any.
@@ -108,6 +91,9 @@ func (v *RankValidator) checkEvent(e *Event, i int) error {
 	switch {
 	case e.Time < v.evPrev:
 		return fmt.Errorf("%w: rank %d event %d out of order (%d after %d)", ErrInvalid, r, i, e.Time, v.evPrev)
+	case v.sampled && e.Time <= v.smpPrev:
+		return fmt.Errorf("%w: rank %d event %d out of order (at %d, after a sample at %d: a rank's events must arrive before its samples of the same or a later time)",
+			ErrInvalid, r, i, e.Time, v.smpPrev)
 	case int(e.Rank) != r:
 		return fmt.Errorf("%w: rank %d event %d carries rank %d", ErrInvalid, r, i, e.Rank)
 	case !e.Type.Valid():
@@ -255,5 +241,5 @@ func (v *RankValidator) releaseOnError() {
 }
 
 func (v *RankValidator) release() {
-	v.cur, v.head, v.rest, v.queued, v.prevEv = nil, 0, nil, 0, nil
+	v.cur, v.head, v.rest, v.queued = nil, 0, nil, 0
 }

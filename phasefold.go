@@ -364,10 +364,6 @@ var (
 	ErrNoRanks   = trace.ErrNoRanks
 	ErrInvalid   = trace.ErrInvalid
 
-	// ErrMergeMismatch flags incompatible traces passed to a merge — a
-	// usage error, deliberately outside the ErrFormat umbrella.
-	ErrMergeMismatch = trace.ErrMergeMismatch
-
 	// ErrBudget tags strict-mode analyses that exceeded their Budget;
 	// ErrPanic tags strict-mode analyses that recovered an internal panic.
 	ErrBudget = core.ErrBudget
@@ -491,7 +487,12 @@ func (s *Session) Open(hdr StreamHeader) error {
 // samples that may still attach to an unfinished burst stay buffered, and
 // exceeding the configured window fails the session with ErrWindow. The
 // session takes ownership of the chunk: a rank's events are kept until its
-// samples pass them, so the caller must not modify them afterwards.
+// samples pass them, so the caller must not modify them afterwards. Each
+// rank's records must come in per-rank order: every event before the
+// rank's samples at or after its time, as a container's rank sections hold
+// them. An event at or before a sample of its rank already fed is rejected
+// as out of order (ErrInvalid): strict mode fails, lenient mode drops the
+// rank.
 func (s *Session) Feed(c Chunk) error {
 	s.mu.Lock()
 	inner := s.inner
@@ -538,8 +539,8 @@ const streamChunkRecords = 4096
 // FeedTrace streams a resident trace through the session — the front half
 // batch Analyze runs, fanned out over WithParallelism workers, mostly
 // useful to reuse streaming snapshots on already-decoded data. Done
-// afterwards returns exactly what batch Analyze over tr returns, repairs
-// of a damaged trace included.
+// afterwards returns exactly what batch Analyze over tr returns, the
+// per-rank repairs of damaged ranks included.
 func (s *Session) FeedTrace(tr *Trace) error {
 	s.mu.Lock()
 	if s.inner == nil {
