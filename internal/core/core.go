@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"phasefold/internal/align"
 	"phasefold/internal/callstack"
@@ -653,8 +654,8 @@ func runStructure(ctx context.Context, bursts []trace.Burst, opt Options) ([]int
 	return labels, nil
 }
 
-// spmdScore aligns the per-rank cluster-label sequences and scores their
-// agreement, stamping the aligned symbol count on span. Only the caller's
+// spmdScore aligns the per-rank cluster-label sequences, sorted by content,
+// and scores their agreement, stamping the aligned symbol count on span. Only the caller's
 // ctx ending is an error; a failed alignment scores 0.
 func spmdScore(ctx context.Context, span *obs.Span, nRanks int, bursts []trace.Burst) (float64, error) {
 	if nRanks < 2 {
@@ -675,6 +676,9 @@ func spmdScore(ctx context.Context, span *obs.Span, nRanks int, bursts []trace.B
 		// empty and score 0, after work quadratic in the rank count.
 		return 0, ctx.Err()
 	}
+	// The ranks are exchangeable: align their sequences in a canonical
+	// order, by content, so renumbering the ranks cannot move the score.
+	slices.SortFunc(seqs, slices.Compare)
 	msa, err := align.ProgressiveContext(ctx, seqs, align.DefaultScoring())
 	if err != nil {
 		return 0, ctx.Err()

@@ -51,11 +51,8 @@ type rankIngest struct {
 	v       trace.RankValidator
 	x       *trace.Extractor // nil once extraction failed or never started
 	h       *healthRank
-	clouds  map[folding.BurstKey]*folding.BurstCloud
+	clouds  folding.Clouds                    // the rank's folded rows (chunked)
 	observe func(*trace.Burst, *trace.Sample) // the cloud sink; nil when resident
-
-	lastBurst *trace.Burst // observeCloud's last burst and its cloud
-	lastCloud *folding.BurstCloud
 
 	events, samples int // records ingested
 	labeled         int // bursts handed to the labeler
@@ -109,7 +106,7 @@ func (in *Ingest) Feed(c *trace.Chunk) error {
 	if !in.chunked {
 		in.chunked = true
 		for r := range in.ranks {
-			in.ranks[r].observe = in.ranks[r].observeCloud
+			in.ranks[r].observe = in.ranks[r].clouds.Observe
 		}
 	}
 	ri := &in.ranks[c.Rank]
@@ -209,25 +206,7 @@ func (in *Ingest) failExtract(ri *rankIngest, err error) {
 		in.count(ri.x.Pending(), 0)
 		ri.x = nil
 	}
-	ri.clouds, ri.lastBurst, ri.lastCloud = nil, nil, nil
-}
-
-// observeCloud is the chunked path's cloud sink: it projects each linked
-// sample into its burst's cloud. A burst's samples link one after another,
-// so the last cloud is looked up once per burst.
-func (ri *rankIngest) observeCloud(b *trace.Burst, s *trace.Sample) {
-	if b != ri.lastBurst {
-		if ri.clouds == nil {
-			ri.clouds = make(map[folding.BurstKey]*folding.BurstCloud)
-		}
-		k := folding.KeyOf(b)
-		if ri.lastCloud = ri.clouds[k]; ri.lastCloud == nil {
-			ri.lastCloud = &folding.BurstCloud{}
-			ri.clouds[k] = ri.lastCloud
-		}
-		ri.lastBurst = b
-	}
-	ri.lastCloud.Observe(b, s)
+	ri.clouds = folding.Clouds{} // release the rank's rows
 }
 
 // closeRank runs a rank's end-of-stream checks: the validator's (unclosed
@@ -542,13 +521,11 @@ func (in *Ingest) Buffered() int { return in.buffered }
 func (in *Ingest) Peak() int { return in.peak }
 
 // Projector returns the folded-observation source of the bursts ingested so
-// far: the resident records, or the clouds built as samples linked, looked
-// up in the map of the rank a burst's key names.
+// far: the resident records, or the rows each rank's clouds kept as its
+// samples linked.
 func (in *Ingest) Projector() folding.Projector {
 	if in.resident != nil {
 		return folding.TraceProjector(in.resident)
 	}
-	return folding.CloudProjector(func(k folding.BurstKey) *folding.BurstCloud {
-		return in.ranks[k.Rank].clouds[k]
-	})
+	return folding.CloudProjector(func(r int32) *folding.Clouds { return &in.ranks[r].clouds })
 }

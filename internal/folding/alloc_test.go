@@ -10,23 +10,28 @@ import (
 	"phasefold/internal/trace"
 )
 
-// streamedClouds builds every burst's streamed cloud, as a chunked session
+// streamedClouds builds every rank's streamed clouds, as a chunked session
 // does at sample attach time, and returns their projector.
 func streamedClouds(tr *trace.Trace, bursts []trace.Burst) folding.Projector {
-	clouds := make(map[folding.BurstKey]*folding.BurstCloud, len(bursts))
+	clouds := observeClouds(tr, bursts)
+	return folding.CloudProjector(func(r int32) *folding.Clouds { return &clouds[r] })
+}
+
+// observeClouds observes every linked sample of bursts, which are in (rank,
+// start) order, into its rank's clouds.
+func observeClouds(tr *trace.Trace, bursts []trace.Burst) []folding.Clouds {
+	clouds := make([]folding.Clouds, tr.NumRanks())
 	for j := range bursts {
 		b := &bursts[j]
 		if b.FirstSmp < 0 || b.NumSmp == 0 {
 			continue
 		}
-		c := &folding.BurstCloud{}
 		smps := tr.Rank(int(b.Rank)).Samples[b.FirstSmp : b.FirstSmp+b.NumSmp]
 		for k := range smps {
-			c.Observe(b, &smps[k])
+			clouds[b.Rank].Observe(b, &smps[k])
 		}
-		clouds[folding.KeyOf(b)] = c
 	}
-	return folding.CloudProjector(func(k folding.BurstKey) *folding.BurstCloud { return clouds[k] })
+	return clouds
 }
 
 // checkExactClouds requires every cloud and the stack timeline of f to have

@@ -2,6 +2,7 @@ package folding
 
 import (
 	"math/bits"
+	"sort"
 
 	"phasefold/internal/callstack"
 	"phasefold/internal/counters"
@@ -9,38 +10,37 @@ import (
 	"phasefold/internal/trace"
 )
 
-// BurstKey identifies one burst across the streaming pipeline. A rank's
-// bursts start at strictly increasing times (each burst opens at an event at
-// or after the previous burst's closing event), so (Rank, Start) is unique
-// within a trace and survives the global SortBursts reordering.
-type BurstKey struct {
-	Rank  int32
-	Start sim.Time
-}
-
-// KeyOf returns the key of b.
-func KeyOf(b *trace.Burst) BurstKey {
-	return BurstKey{Rank: b.Rank, Start: b.Start}
-}
-
-// BurstCloud accumulates the folded projections of one burst's samples as
-// they arrive. The projection of a sample depends only on its burst's
+// Clouds accumulates the folded projections of one rank's bursts as their
+// samples arrive. The projection of a sample depends only on its burst's
 // boundaries and counters — not on the cluster label, which the streaming
 // pipeline assigns much later — so clouds can be built eagerly at sample
 // attach time and replayed per cluster at the end via CloudProjector.
 //
-// The cloud is sample-major: one row per projected sample holding its X, the
-// Y of every captured counter, a presence mask and the stack, so a burst
-// grows one slice rather than one per counter. Observe applies exactly the
-// arithmetic of the batch projection (TraceProjector), and CloudProjector
-// replays the rows counter by counter, so each counter receives the
-// identical per-burst point sequence; replaying members in the batch member
-// order therefore yields the identical pre-sort clouds, and hence identical
-// sorted output. The cloud counts its points per counter and its stack
-// samples as rows arrive, so a fold sizes its clouds without reading rows.
-type BurstCloud struct {
-	rows []cloudRow
-	n    cloudSize
+// The store is sample-major: one row per projected sample holding its X, the
+// Y of every captured counter, a presence mask and the stack. A rank's
+// samples link to its bursts in time order (the extractor's cursor only
+// moves forward), so each burst's rows arrive one after another and own a
+// contiguous span of the store, found by the burst's start: a rank's bursts
+// start at strictly increasing times. The rows are cut from blocks that
+// grow by a quarter up to maxBlockRows, so a rank allocates a few dozen
+// blocks rather than a slice per burst, and at most about a fifth of what
+// it allocates is unused. Observe applies exactly the arithmetic of the
+// batch projection (TraceProjector), and CloudProjector replays a span
+// counter by counter, so each counter receives the identical per-burst
+// point sequence; replaying members in the batch member order therefore
+// yields the identical pre-sort clouds, and hence identical sorted output.
+// Each span counts its points per counter and its stack samples as rows
+// arrive, so a fold sizes its clouds without reading rows.
+type Clouds struct {
+	spans []cloudSpan
+	block []cloudRow // the block rows go to; the last span's rows end it
+}
+
+// cloudSpan is one burst's rows and their counts.
+type cloudSpan struct {
+	start sim.Time // the burst's start
+	rows  []cloudRow
+	n     cloudSize
 }
 
 // cloudRow is one projected sample. Bit id of mask is set when y[id] holds
@@ -55,8 +55,17 @@ type cloudRow struct {
 // The presence mask holds one bit per counter id.
 var _ [16 - counters.NumIDs]struct{}
 
-// Observe projects sample s, known to lie inside burst b, into the cloud.
-func (c *BurstCloud) Observe(b *trace.Burst, s *trace.Sample) {
+// The block sizes in rows: the first block of a rank, and the size blocks
+// stop growing at (about 450 KB). A block only grows past the cap to hold
+// one burst's rows.
+const (
+	minBlockRows = 64
+	maxBlockRows = 4096
+)
+
+// Observe projects sample s, known to lie inside burst b, into b's span. A
+// rank's samples must be observed in time order.
+func (c *Clouds) Observe(b *trace.Burst, s *trace.Sample) {
 	dur := float64(b.Duration())
 	if dur <= 0 {
 		return
@@ -65,65 +74,101 @@ func (c *BurstCloud) Observe(b *trace.Burst, s *trace.Sample) {
 	if x < 0 || x > 1 {
 		return
 	}
-	r := cloudRow{x: x, mask: s.Counters.Captured() & normalizable(b), stack: s.Stack}
-	for m := r.mask; m != 0; m &= m - 1 {
+	mask := s.Counters.Captured() & normalizable(b)
+	if mask == 0 && s.Stack == callstack.NoStack {
+		return
+	}
+	r := c.row(b.Start)
+	r.x, r.mask, r.stack = x, mask, s.Stack
+	for m := mask; m != 0; m &= m - 1 {
 		id := counters.ID(bits.TrailingZeros16(m))
 		sv, _ := s.Counters.Get(id)
 		base, _ := b.StartCtr.Get(id)
 		total, _ := b.Delta.Get(id)
 		r.y[id] = sim.Clamp(float64(sv-base)/float64(total), 0, 1)
 	}
-	if r.mask != 0 || r.stack != callstack.NoStack {
-		c.rows = append(c.rows, r)
-		c.n.add(r.mask, r.stack)
-	}
+	c.spans[len(c.spans)-1].n.add(mask, s.Stack)
 }
 
-// NumPoints returns the observation count summed over all counters.
-func (c *BurstCloud) NumPoints() int {
+// row appends a row to the span of the burst starting at start, opening the
+// span when the burst has none yet, and returns it. When the block is full
+// the open span moves to a fresh block, so it stays contiguous.
+func (c *Clouds) row(start sim.Time) *cloudRow {
+	if n := len(c.spans); n == 0 || c.spans[n-1].start != start {
+		c.spans = append(c.spans, cloudSpan{start: start})
+	}
+	sp := &c.spans[len(c.spans)-1]
+	if len(c.block) == cap(c.block) {
+		size := min(max(cap(c.block)+cap(c.block)/4, minBlockRows), maxBlockRows)
+		c.block = append(make([]cloudRow, 0, max(size, 2*len(sp.rows))), sp.rows...)
+	}
+	c.block = append(c.block, cloudRow{})
+	sp.rows = c.block[len(c.block)-len(sp.rows)-1:]
+	return &sp.rows[len(sp.rows)-1]
+}
+
+// span returns the span of the burst starting at start, nil when it has no
+// rows.
+func (c *Clouds) span(start sim.Time) *cloudSpan {
+	if c == nil {
+		return nil
+	}
+	i := sort.Search(len(c.spans), func(i int) bool { return c.spans[i].start >= start })
+	if i == len(c.spans) || c.spans[i].start != start {
+		return nil
+	}
+	return &c.spans[i]
+}
+
+// NumPoints returns the observation count summed over all counters and
+// bursts.
+func (c *Clouds) NumPoints() int {
 	n := 0
-	for _, k := range c.n.points {
-		n += int(k)
+	for i := range c.spans {
+		for _, k := range c.spans[i].n.points {
+			n += int(k)
+		}
 	}
 	return n
 }
 
-// CloudProjector adapts eagerly-built per-burst clouds, found by burst key
-// through cloud, into the Projector the folding algebra consumes. Bursts
-// without a cloud (no samples attached, or every projection skipped)
-// contribute nothing, exactly as the batch projection would.
-func CloudProjector(cloud func(BurstKey) *BurstCloud) Projector {
-	return cloudProjector(cloud)
+// CloudProjector adapts the per-rank clouds, found by rank through clouds,
+// into the Projector the folding algebra consumes. Bursts without a span (no
+// samples attached, or every projection skipped) contribute nothing,
+// exactly as the batch projection would.
+func CloudProjector(clouds func(rank int32) *Clouds) Projector {
+	return cloudProjector(clouds)
 }
 
-type cloudProjector func(BurstKey) *BurstCloud
+type cloudProjector func(rank int32) *Clouds
 
-func (p cloudProjector) size(n *cloudSize, b *trace.Burst) {
-	if c := p(KeyOf(b)); c != nil {
-		for id, k := range c.n.points {
+func (p cloudProjector) size(n *cloudSize, b *trace.Burst) *cloudSpan {
+	sp := p(b.Rank).span(b.Start)
+	if sp != nil {
+		for id, k := range sp.n.points {
 			n.points[id] += k
 		}
-		n.stacks += c.n.stacks
-		n.rows += c.n.rows
+		n.stacks += sp.n.stacks
+		n.rows += sp.n.rows
 	}
+	return sp
 }
 
-func (p cloudProjector) project(f *Folded, b *trace.Burst) {
-	c := p(KeyOf(b))
-	if c == nil {
+func (p cloudProjector) project(f *Folded, _ *trace.Burst, sp *cloudSpan) {
+	if sp == nil {
 		return
 	}
 	for id := range f.Points {
 		pts := f.Points[id]
-		for i := range c.rows {
-			if r := &c.rows[i]; r.mask&(1<<id) != 0 {
+		for i := range sp.rows {
+			if r := &sp.rows[i]; r.mask&(1<<id) != 0 {
 				pts = append(pts, Point{X: r.x, Y: r.y[id]})
 			}
 		}
 		f.Points[id] = pts
 	}
-	for i := range c.rows {
-		if r := &c.rows[i]; r.stack != callstack.NoStack {
+	for i := range sp.rows {
+		if r := &sp.rows[i]; r.stack != callstack.NoStack {
 			f.Stacks = append(f.Stacks, StackSample{X: r.x, Stack: r.stack})
 		}
 	}

@@ -62,27 +62,15 @@ func BenchmarkFoldDense(b *testing.B) {
 	}
 }
 
-// BenchmarkBurstCloudObserve builds the streamed per-burst clouds of the
-// dense cg fixture: every attached sample observed into its burst's cloud,
-// as the streaming session does at sample attach time.
+// BenchmarkBurstCloudObserve builds the streamed clouds of the dense cg
+// fixture: every attached sample observed into its rank's clouds, as the
+// streaming session does at sample attach time.
 func BenchmarkBurstCloudObserve(b *testing.B) {
 	tr, bursts, _ := denseFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clouds := make(map[folding.BurstKey]*folding.BurstCloud, len(bursts))
-		for j := range bursts {
-			bu := &bursts[j]
-			if bu.FirstSmp < 0 || bu.NumSmp == 0 {
-				continue
-			}
-			c := &folding.BurstCloud{}
-			smps := tr.Rank(int(bu.Rank)).Samples[bu.FirstSmp : bu.FirstSmp+bu.NumSmp]
-			for k := range smps {
-				c.Observe(bu, &smps[k])
-			}
-			clouds[folding.KeyOf(bu)] = c
-		}
+		observeClouds(tr, bursts)
 	}
 }
 

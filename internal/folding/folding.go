@@ -31,15 +31,17 @@ import (
 	"phasefold/internal/trace"
 )
 
-// foldScratch is the per-call working set of Fold — the member list, the
-// duration vector and one delta vector per counter id (the medians select in
-// place in them), the sort keys and bucket offsets, and the cloud sizes.
+// foldScratch is the per-call working set of Fold — the member list and
+// the used members' streamed spans, the duration vector and one delta
+// vector per counter id (the medians select in place in them), the sort
+// keys and bucket offsets, and the cloud sizes.
 // The analysis pipeline folds many clusters concurrently, so the scratch is
 // pooled: a steady-state Fold allocates only the Folded result it returns
 // and its clouds. The relaxed-band retry inside Fold recurses, which is
 // safe — the inner call simply draws a second scratch from the pool.
 type foldScratch struct {
 	members []*trace.Burst
+	spans   []*cloudSpan // per used member: what the projector's size found
 	durs    []float64
 	deltas  [counters.NumIDs][]float64
 	keys    []xKey
@@ -51,6 +53,8 @@ var scratchPool = sync.Pool{New: func() any { return new(foldScratch) }}
 
 func putScratch(sc *foldScratch) {
 	sc.members = sc.members[:0]
+	clear(sc.spans)
+	sc.spans = sc.spans[:0]
 	sc.durs = sc.durs[:0]
 	for i := range sc.deltas {
 		sc.deltas[i] = sc.deltas[i][:0]
@@ -154,16 +158,19 @@ func (f *Folded) RateScale(id counters.ID) (float64, bool) {
 // all counters and the stack timeline take one sort.
 type Projector interface {
 	// size adds to n the points burst b projects into each counter's cloud
-	// and the samples it adds to the stack timeline.
-	size(n *cloudSize, b *trace.Burst)
+	// and the samples it adds to the stack timeline. It returns b's span
+	// of streamed rows (nil for the resident source, or a burst without
+	// rows), which the fold hands back to project: a burst is looked up
+	// once per fold.
+	size(n *cloudSize, b *trace.Burst) *cloudSpan
 	// project appends b's projections to f's clouds and stack timeline:
 	// exactly what size counted.
-	project(f *Folded, b *trace.Burst)
+	project(f *Folded, b *trace.Burst, sp *cloudSpan)
 }
 
 // cloudSize counts the points of each counter's cloud and the samples of the
 // stack timeline a fold will hold, so each is allocated once at its size,
-// and the projected samples (rows) they come from. A streamed BurstCloud
+// and the projected samples (rows) they come from. Each streamed span
 // keeps one too, so its fields are int32: a cloud of 2³¹ points would not
 // fit in memory anyway.
 type cloudSize struct {
@@ -291,12 +298,14 @@ func FoldWith(project Projector, bursts []trace.Burst, label int, opt Options) (
 	// Size every cloud, allocate each once, then project.
 	n := &sc.size
 	*n = cloudSize{}
+	spans := sc.spans[:0]
 	for _, b := range used {
-		project.size(n, b)
+		spans = append(spans, project.size(n, b))
 	}
+	sc.spans = spans
 	f.alloc(n)
-	for _, b := range used {
-		project.project(f, b)
+	for i, b := range used {
+		project.project(f, b, spans[i])
 	}
 	sortClouds(f, sc)
 	return f, nil
@@ -557,7 +566,7 @@ func (p traceProjector) samples(b *trace.Burst) ([]trace.Sample, float64, uint16
 	return p.tr.Rank(int(b.Rank)).Samples[b.FirstSmp : b.FirstSmp+b.NumSmp], dur, normalizable(b)
 }
 
-func (p traceProjector) size(n *cloudSize, b *trace.Burst) {
+func (p traceProjector) size(n *cloudSize, b *trace.Burst) *cloudSpan {
 	samples, dur, mask := p.samples(b)
 	for i := range samples {
 		s := &samples[i]
@@ -566,9 +575,10 @@ func (p traceProjector) size(n *cloudSize, b *trace.Burst) {
 		}
 		n.add(s.Counters.Captured()&mask, s.Stack)
 	}
+	return nil
 }
 
-func (p traceProjector) project(f *Folded, b *trace.Burst) {
+func (p traceProjector) project(f *Folded, b *trace.Burst, _ *cloudSpan) {
 	samples, dur, mask := p.samples(b)
 	for i := range samples {
 		s := &samples[i]

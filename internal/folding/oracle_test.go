@@ -189,8 +189,9 @@ func TestSortCloudsMatchesOracle(t *testing.T) {
 // genBursts draws one rank's bursts and their samples. Counter groups rotate
 // per burst as under a multiplexed PMU, some bursts carry a zero or missing
 // delta for a counter (skipping it there), a few samples fall just outside
-// their burst, and some carry no stack.
-func genBursts(r *rand.Rand) ([]trace.Burst, [][]trace.Sample) {
+// their burst, and some carry no stack. A burst draws fewer than
+// maxSamples samples.
+func genBursts(r *rand.Rand, maxSamples int) ([]trace.Burst, [][]trace.Sample) {
 	nb := r.Intn(12)
 	bursts := make([]trace.Burst, nb)
 	samples := make([][]trace.Sample, nb)
@@ -218,7 +219,7 @@ func genBursts(r *rand.Rand) ([]trace.Burst, [][]trace.Sample) {
 				b.Delta.Put(id, int64(1+r.Intn(5000)))
 			}
 		}
-		for k := r.Intn(20); k > 0; k-- {
+		for k := r.Intn(maxSamples); k > 0; k-- {
 			s := trace.Sample{
 				Time:     b.Start + sim.Duration(r.Intn(int(dur)+3)) - 1,
 				Counters: counters.AllMissing(),
@@ -237,41 +238,47 @@ func genBursts(r *rand.Rand) ([]trace.Burst, [][]trace.Sample) {
 }
 
 // TestCloudFoldMatchesOracle builds streamed burst clouds both ways from
-// generated bursts, then folds each label through FoldWith over the new
-// clouds and through the oracle (old clouds replayed in member order, then
-// sort.SliceStable), and requires identical folded clouds.
+// generated bursts — one rank's row store, and an oracle cloud per burst —
+// then folds each label through FoldWith over the store and through the
+// oracle (its clouds replayed in member order, then sort.SliceStable), and
+// requires identical folded clouds.
 func TestCloudFoldMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(1806))
 	for trial := 0; trial < 600; trial++ {
-		bursts, samples := genBursts(r)
-		clouds := make(map[BurstKey]*BurstCloud)
-		oracle := make(map[BurstKey]*oracleCloud)
+		maxSamples := 20
+		if trial%100 == 0 {
+			maxSamples = 2 * maxBlockRows // spans longer than a block
+		}
+		bursts, samples := genBursts(r, maxSamples)
+		clouds := &Clouds{}
+		oracle := make([]*oracleCloud, len(bursts))
 		for i := range bursts {
 			b := &bursts[i]
 			if len(samples[i]) == 0 {
 				continue
 			}
-			c, o := &BurstCloud{}, &oracleCloud{}
+			o := &oracleCloud{}
+			before := clouds.NumPoints()
 			for k := range samples[i] {
-				c.Observe(b, &samples[i][k])
+				clouds.Observe(b, &samples[i][k])
 				o.Observe(b, &samples[i][k])
 			}
-			if c.NumPoints() != o.NumPoints() {
-				t.Fatalf("trial %d burst %d: NumPoints %d, oracle %d", trial, i, c.NumPoints(), o.NumPoints())
+			if n := clouds.NumPoints() - before; n != o.NumPoints() {
+				t.Fatalf("trial %d burst %d: NumPoints %d, oracle %d", trial, i, n, o.NumPoints())
 			}
-			clouds[KeyOf(b)], oracle[KeyOf(b)] = c, o
+			oracle[i] = o
 		}
 		for label := 0; label < 2; label++ {
 			want := &Folded{}
 			for i := range bursts {
 				if bursts[i].Cluster == label {
-					if o := oracle[KeyOf(&bursts[i])]; o != nil {
+					if o := oracle[i]; o != nil {
 						o.project(want)
 					}
 				}
 			}
 			oracleSort(want)
-			got, err := FoldWith(CloudProjector(func(k BurstKey) *BurstCloud { return clouds[k] }), bursts, label, Options{})
+			got, err := FoldWith(CloudProjector(func(int32) *Clouds { return clouds }), bursts, label, Options{})
 			if err != nil {
 				continue // no members with this label
 			}

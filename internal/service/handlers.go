@@ -258,6 +258,10 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// the job (under the same trace ID) at the next start.
 	s.wal.accept(j)
 	qSpan := jt.stage(stageQueue)
+	// Parked before the enqueue: a worker may dequeue and finish the job
+	// before enqueue returns.
+	jt.holdQueueSpan(qSpan)
+	jt.setState("queued")
 	depth, err := s.pool.enqueue(j)
 	if err != nil {
 		qSpan.SetAttr("result", "rejected")
@@ -270,8 +274,6 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	qSpan.SetAttr("depth", depth)
-	jt.holdQueueSpan(qSpan)
-	jt.setState("queued")
 	s.countMiss()
 	s.awaitFlight(w, r, fl, "miss", jt, nil, tenant, arrived)
 }

@@ -81,24 +81,16 @@ func (a *streamAttempt) consume(ctx context.Context, pr *io.PipeReader) error {
 		return err
 	}
 	var lastSnap *stream.Snapshot
-	for {
-		c, err := cr.Next(streamChunkRecords)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if err := sess.Feed(c); err != nil {
-			return err
-		}
+	if err := sess.Consume(cr, streamChunkRecords, func() {
 		if snap := sess.Snapshot(); snap != lastSnap {
 			lastSnap = snap
 			s.livePhases.Store(snap)
 			s.publishDash()
 		}
+	}); err != nil {
+		return err
 	}
-	a.report = cr.Report()
+	a.report = sess.SalvageReport()
 	if a.skel, err = cr.Skeleton(); err != nil {
 		return err
 	}

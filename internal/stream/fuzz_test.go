@@ -46,7 +46,8 @@ func chunkingTrace(t *testing.T, app string, iters int) []byte {
 // FuzzStreamChunking holds a streamed session to batch Analyze over the same
 // bytes: any chunk limit, any interleaving of the ranks' chunks (each rank's
 // own in stream order), any Parallelism from 1 to 4 gives the model batch
-// gives serially.
+// gives serially; so does Consume, decoding ahead of the feed, over a reader
+// of drawn short reads.
 func FuzzStreamChunking(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint16(4096), uint64(1), uint8(0))
 	f.Add(uint8(1), uint8(1), uint16(1), uint64(2), uint8(1))
@@ -118,5 +119,42 @@ func FuzzStreamChunking(f *testing.F) {
 		if !reflect.DeepEqual(serial, streamed) {
 			t.Fatalf("streamed model differs from batch (limit %d, order %d, Parallelism %d)", 1+int(limit), order, opt.Parallelism)
 		}
+
+		// Consume decodes ahead of the feed; its reader returns short
+		// reads of drawn lengths.
+		cr, err = trace.NewChunkReader(ctx, &shortReader{data: data, rng: rng}, trace.DecodeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err = New(ctx, Header{App: cr.App(), NumRanks: cr.NumRanks(), Symbols: cr.Symbols(), Stacks: cr.Stacks()}, Options{Core: opt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Consume(cr, 1+int(limit), nil); err != nil {
+			t.Fatal(err)
+		}
+		consumed, err := s.Done()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(serial, consumed) {
+			t.Fatalf("consumed model differs from batch (limit %d, order %d, Parallelism %d)", 1+int(limit), order, opt.Parallelism)
+		}
 	})
+}
+
+// shortReader returns data in reads of 1 to 4096 bytes, their lengths drawn
+// from rng.
+type shortReader struct {
+	data []byte
+	rng  *rand.Rand
+}
+
+func (r *shortReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), 1+r.rng.Intn(4096))], r.data)
+	r.data = r.data[n:]
+	return n, nil
 }

@@ -8,6 +8,9 @@
 // records. What the session adds is what batch does not need: the lock
 // for concurrent callers, the record window (ErrWindow), Consume over a
 // ChunkReader, and live Snapshots labelled by a frozen assignment model.
+// Consume decodes ahead: the reader's Next runs on its own goroutine, up
+// to decodeAhead chunks before the one being fed, so decoding and ingest
+// overlap on two cores while the chunks are still fed in decode order.
 //
 // A Session keeps a bounded window of samples (the ones that may still
 // attach to a burst that has not closed yet) and a rank's events until its
@@ -18,9 +21,16 @@
 // already fed is rejected as out of order. In container order (a rank's
 // events, then its samples) the held events are up to one rank's event
 // section at a time — O(events per rank), which the window does not count
-// — plus each rank's events after its last sample, held until Done. What
-// grows with the trace is the burst list and the folded clouds — the
-// analysis output itself.
+// — plus each rank's events after its last sample, held until Done.
+//
+// So what a session holds is the window, plus during Consume the chunks in
+// flight (at most decodeAhead+1 more than a serial loop, each up to the
+// chunk limit), plus what grows with the trace: the burst list and each
+// rank's folded rows, one row store per rank in which every burst owns a
+// contiguous span (folding.Clouds) — the analysis input the tail needs at
+// Done. A dropped rank releases its rows. BenchmarkStreamConsume (in the
+// module root) reports the live heap a session holds per input record, and
+// CI bounds how that figure grows with the trace.
 package stream
 
 import (
@@ -29,6 +39,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"phasefold/internal/callstack"
 	"phasefold/internal/cluster"
@@ -199,25 +210,111 @@ func (s *Session) Bursts() int {
 
 // Consume drives the session from a chunk reader until end of stream — the
 // path a service upload takes, decoding and analyzing while bytes arrive.
-// The reader's salvage report (if salvaging) is retained for SalvageReport.
-func (s *Session) Consume(cr *trace.ChunkReader, chunkLimit int) error {
-	for {
-		c, err := cr.Next(chunkLimit)
-		if err == io.EOF {
+// The reader decodes ahead on its own goroutine, up to decodeAhead chunks
+// before the one being fed, and the chunks are fed in decode order, so the
+// model is the one a serial loop of Next and Feed gives. fed, when not nil,
+// runs after each fed chunk, outside the session's lock. A decode error is
+// returned once every chunk decoded before it has been fed; a Feed error
+// stops the decoder. Either way Consume returns only after the decoder
+// goroutine has exited, and a panic in the reader is raised again on the
+// caller's goroutine. The reader's salvage report (if salvaging) is
+// retained for SalvageReport when the stream reached its end.
+func (s *Session) Consume(cr *trace.ChunkReader, chunkLimit int, fed func()) error {
+	d := startDecoder(cr, chunkLimit)
+	defer d.join()
+	for dc := range d.out {
+		if dc.err == io.EOF {
 			s.mu.Lock()
 			s.report = cr.Report()
 			s.mu.Unlock()
 			return nil
 		}
-		if err != nil {
-			return err
+		if dc.err != nil {
+			return dc.err
 		}
 		s.mu.Lock()
-		err = s.feedLocked(&c)
+		err := s.feedLocked(&dc.c)
 		s.mu.Unlock()
 		if err != nil {
 			return err
 		}
+		if fed != nil {
+			fed()
+		}
+	}
+	return nil // Next panicked: the deferred join raises it
+}
+
+// decodeAhead is how many decoded chunks may wait for Feed. With the chunk
+// the decoder is reading, Consume holds at most decodeAhead+1 chunks more
+// than a serial loop would.
+const decodeAhead = 2
+
+// decoder runs a ChunkReader's Next on its own goroutine. The chunks are
+// fresh and the reader's header tables are not written after
+// NewChunkReader, so the session may read both while the decoder runs.
+type decoder struct {
+	out      chan decoded
+	stop     chan struct{}
+	panicked any // what Next panicked with; written before out closes
+}
+
+// decoded is one Next result.
+type decoded struct {
+	c   trace.Chunk
+	err error
+}
+
+// testHookNext, when set, runs on the decoder goroutine before each Next.
+var testHookNext func()
+
+// decoding counts the decoder goroutines that have not finished; a decoder
+// leaves the count before its channel closes, so a Consume that joined its
+// decoder has left it.
+var decoding atomic.Int32
+
+func startDecoder(cr *trace.ChunkReader, limit int) *decoder {
+	d := &decoder{out: make(chan decoded, decodeAhead), stop: make(chan struct{})}
+	decoding.Add(1)
+	go d.run(cr, limit)
+	return d
+}
+
+// run decodes until Next returns an error (io.EOF included), Next panics, or
+// join stops it.
+func (d *decoder) run(cr *trace.ChunkReader, limit int) {
+	defer close(d.out)
+	defer decoding.Add(-1)
+	defer func() { d.panicked = recover() }()
+	for {
+		select {
+		case <-d.stop:
+			return
+		default:
+		}
+		if testHookNext != nil {
+			testHookNext()
+		}
+		c, err := cr.Next(limit)
+		select {
+		case d.out <- decoded{c, err}:
+		case <-d.stop:
+			return
+		}
+		if err != nil {
+			return
+		}
+	}
+}
+
+// join stops the decoder and waits for its goroutine to finish the Next in
+// flight, then raises a panic of Next on the caller's goroutine.
+func (d *decoder) join() {
+	close(d.stop)
+	for range d.out {
+	}
+	if d.panicked != nil {
+		panic(d.panicked)
 	}
 }
 

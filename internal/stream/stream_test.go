@@ -97,7 +97,7 @@ func TestConsumeMatchesBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Consume(cr, limit); err != nil {
+		if err := s.Consume(cr, limit, nil); err != nil {
 			t.Fatal(err)
 		}
 		streamed, err := s.Done()

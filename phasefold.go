@@ -504,10 +504,16 @@ func (s *Session) Feed(c Chunk) error {
 }
 
 // Consume streams a binary-format container ("PFT2") from r, analyzing
-// records chunk by chunk while bytes arrive — never holding
-// the decoded trace in memory. Under WithSalvage a damaged stream yields
-// what was recovered (see SalvageReport); otherwise the first damage fails
-// the session. Consume returns when the stream ends or the session fails.
+// records chunk by chunk while bytes arrive — never holding the decoded
+// trace in memory. The container is decoded ahead of the analysis on a
+// second goroutine, a few chunks at most, and the chunks are analyzed in
+// stream order, so the model is the same. The session holds its window,
+// the chunks in flight, and what the analysis keeps per burst: the burst
+// list and each rank's folded rows. Under WithSalvage a damaged stream
+// yields what was recovered (see SalvageReport); otherwise the first damage
+// fails the session. Consume returns when the stream ends or the session
+// fails, once the decoding goroutine has stopped; a read in progress is
+// finished first.
 func (s *Session) Consume(r io.Reader) error {
 	cr, err := trace.NewChunkReader(s.ctx, r, s.settings.decode)
 	if err != nil {
@@ -522,7 +528,7 @@ func (s *Session) Consume(r io.Reader) error {
 	}
 	inner := s.inner
 	s.mu.Unlock()
-	if err := inner.Consume(cr, streamChunkRecords); err != nil {
+	if err := inner.Consume(cr, streamChunkRecords, nil); err != nil {
 		return err
 	}
 	s.mu.Lock()

@@ -3,6 +3,8 @@ package phasefold_test
 import (
 	"bytes"
 	"context"
+	"runtime"
+	"runtime/metrics"
 	"sync"
 	"testing"
 
@@ -11,11 +13,15 @@ import (
 
 // BenchmarkStreamConsume measures the streaming engine end to end: one
 // encoded trace consumed through phasefold.Stream at growing sizes. Besides
-// ns/op it reports records/s (decode + incremental analysis throughput) and
-// peak_records — the session's high-water record buffer, which must stay
-// flat as the trace grows: the streamed path holds only the samples of the
-// still-open burst per rank, never the trace. CI folds these figures into
-// BENCH_perf.json and fails when peak_records grows super-linearly.
+// ns/op it reports records/s (decode + incremental analysis throughput),
+// peak_records (the session's high-water buffer of samples waiting for a
+// burst to close, 1 in container order) and held_B/record: the live heap
+// the session holds when Consume returns, above a baseline taken before the
+// session opened, per input record. The session keeps the burst list, each
+// burst's folded rows and the events its samples have not passed yet, so
+// what it holds grows with the trace, linearly: CI folds these figures into
+// BENCH_perf.json and fails when held_B/record at 16x exceeds its 1x value
+// by more than the bound ci.yml states.
 //
 //	go test -run '^$' -bench BenchmarkStreamConsume -benchtime 1x .
 func BenchmarkStreamConsume(b *testing.B) {
@@ -64,7 +70,39 @@ func benchStreamConsume(b *testing.B, iters int) {
 		b.Fatal("session reports zero peak buffering")
 	}
 	b.ReportMetric(float64(peak), "peak_records")
+	b.ReportMetric(float64(heldAfterConsume(b, in.data))/float64(in.records), "held_B/record")
 	b.ReportMetric(float64(in.records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+}
+
+// heldAfterConsume consumes data through one more session, outside the
+// timed loop (its collections would empty the pools the timed sessions
+// reuse), and returns the live heap the session holds when Consume returns,
+// above what was live before it opened.
+func heldAfterConsume(b *testing.B, data []byte) uint64 {
+	base := liveHeap()
+	sess, err := phasefold.Stream(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := sess.Consume(bytes.NewReader(data)); err != nil {
+		b.Fatal(err)
+	}
+	held := liveHeap()
+	runtime.KeepAlive(sess)
+	if held < base {
+		return 0
+	}
+	return held - base
+}
+
+// liveHeap collects garbage and returns the bytes the heap still holds.
+// Two collections: pooled scratch survives the first one.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
 }
 
 func streamBenchInput(b *testing.B, iters int) streamInput {
